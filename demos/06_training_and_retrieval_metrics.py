@@ -10,7 +10,7 @@ import numpy as np
 
 from zoneinvest import (auc, generate_synthetic_scenario, label_dataset,
                         label_with_cutoff, score_and_rank, simulate_paths,
-                        train, valuate_sequence)
+                        train, valuate_sequences)
 from zoneinvest.neural import scores
 from zoneinvest.ridership import RidershipCache
 from zoneinvest.sequences import sample_sequences
@@ -21,8 +21,8 @@ paths = simulate_paths(scen, n_paths=200, seed=9)
 cache = RidershipCache(scen, paths)
 
 sampled, remaining = sample_sequences(scen.zones, fraction=0.15, seed=1)
-vals = [(s, valuate_sequence(s, paths, scen, cache=cache).policy_value)
-        for s in sampled]
+vals = [(v.sequence, v.policy_value)
+        for v in valuate_sequences(sampled, paths, scen, cache=cache)]
 print(f"valued a {len(sampled)}-sequence sample out of {720}")
 
 ds = label_dataset(vals, population_size=720, thr_fact=0.1, pnr_max=0.05)
@@ -35,8 +35,8 @@ print(f"trained {history[-1][0]} epochs, "
       f"best validation at epoch {model.training_meta['best_epoch']}")
 
 # ground-truth the unseen pool to measure retrieval quality
-truth = {s.order: valuate_sequence(s, paths, scen, cache=cache).policy_value
-         for s in remaining}
+truth = {v.sequence.order: v.policy_value
+         for v in valuate_sequences(remaining, paths, scen, cache=cache)}
 test_labels = label_with_cutoff(np.array([truth[s.order] for s in remaining]),
                                 ds.eta_bin)
 test_auc = auc(scores(model, remaining), test_labels)

@@ -4,7 +4,7 @@ stochastic origin-destination demand."""
 from .labeling import (LabeledDataset, estimate_eta_ub, fit_weibull,
                        label_dataset, label_with_cutoff)
 from .lsmc import (DEFER, INVEST, NEVER, SequenceValuation, continuation_fit,
-                   valuate_sequence)
+                   valuate_sequence, valuate_sequences)
 from .neural import (CLASSIFIER, REGRESSOR, LstmModel, auc, forward, gap_at_k,
                      init_model, load_model, save_model, score_and_rank, train)
 from .policy import (CR, CR_RNN, PolicyResult, cr_policy, cr_rnn_policy,

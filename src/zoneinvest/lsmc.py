@@ -1,4 +1,4 @@
-"""Multi-option least-squares Monte Carlo valuation of one sequence.
+"""Multi-option least-squares Monte Carlo valuation of investment sequences.
 
 A sequence of zones is a chain of compound deferral options: exercising the
 h-th zone creates the right to add the (h+1)-th.  Valuation runs a backward
@@ -14,6 +14,12 @@ The initial (t0) value of each option is the path average of its discounted
 value at its stopping time; paths that never exercise contribute zero.  A
 final sweep at t0 compares immediate investment against these continuation
 values to fix the invest/defer decisions.
+
+Many orderings of one length are valued together: the recursion runs over
+``[position, ordering, path]`` arrays, every regression of a time step is one
+stacked fit, and the deferral block is a cumulative mask along the chain.
+Each ordering's arithmetic is the same as if it were valued alone, so the
+results do not depend on which orderings share a call.
 """
 
 from __future__ import annotations
@@ -57,6 +63,49 @@ class SequenceValuation:
     per_zone_value_t0: np.ndarray  # [H] option values at t0
 
 
+def _fit_rows(states: np.ndarray, targets: np.ndarray, j: int):
+    """Row-wise least-squares fits of ``targets`` on He_0..He_{j-1} of the
+    standardized ``states``; both are [R, P].
+
+    Returns ``(coef [R, j], mean [R], std [R], rank_deficient [R],
+    fitted [R, P])``.  The minimum-norm solution comes from a thin SVD of each
+    design, dropping singular values at or below ``lstsq``'s default cutoff
+    ``eps * max(P, j) * s_max``.  Every reduction runs along one row, so a
+    row's fit is the same whichever rows are stacked with it.
+    """
+    p = states.shape[1]
+    if j < 1:
+        raise ValueError("basis size must be >= 1")
+    if p < j:
+        raise ValueError(f"need at least {j} paths for {j} basis functions, got {p}")
+    mean = states.mean(axis=1)
+    std = states.std(axis=1)
+    constant = ~(np.isfinite(std) & (std > 0.0))
+    z = states - mean[:, None]
+    z /= np.where(constant, 1.0, std)[:, None]
+    z[constant] = 0.0
+    design = hermevander(z, j - 1)                       # [R, P, j]
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(p, j) * sv[:, :1]
+    projected = np.stack([(u[:, :, k] * targets).sum(axis=1)
+                          for k in range(j)], axis=1)     # U^T y, [R, j]
+    weights = np.divide(projected, sv, out=np.zeros_like(projected), where=keep)
+    coef = vt[:, 0, :] * weights[:, :1]
+    for k in range(1, j):
+        coef += vt[:, k, :] * weights[:, k:k + 1]
+    fitted = design[..., 0] * coef[:, :1]
+    for i in range(1, j):
+        fitted += design[..., i] * coef[:, i:i + 1]
+
+    # A constant state carries no information: the fit is the target mean.
+    target_mean = targets[constant].mean(axis=1)
+    coef[constant] = 0.0
+    coef[constant, 0] = target_mean
+    fitted[constant] = target_mean[:, None]
+    rank_deficient = ~constant & (keep.sum(axis=1) < j)
+    return coef, mean, np.where(constant, 0.0, std), rank_deficient, fitted
+
+
 def continuation_fit(states, targets, j: int = DEFAULT_BASIS_SIZE):
     """Least-squares fit of ``targets`` on He_0..He_{j-1} of the standardized
     state, using all paths.
@@ -67,23 +116,124 @@ def continuation_fit(states, targets, j: int = DEFAULT_BASIS_SIZE):
     """
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    p = states.shape[0]
-    if j < 1:
-        raise ValueError("basis size must be >= 1")
-    if p < j:
-        raise ValueError(f"need at least {j} paths for {j} basis functions, got {p}")
-    mean = float(states.mean())
-    std = float(states.std())
-    if std <= 0.0 or not np.isfinite(std):
-        fitted = np.full(p, targets.mean())
-        coef = np.zeros(j)
-        coef[0] = targets.mean()
-        return RegressionBasis(j, coef, mean, 0.0, False), fitted
-    z = (states - mean) / std
-    design = hermevander(z, j - 1)
-    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    fitted = design @ coef
-    return RegressionBasis(j, coef, mean, std, rank < j), fitted
+    coef, mean, std, deficient, fitted = _fit_rows(states[None], targets[None], j)
+    basis = RegressionBasis(j, coef[0], float(mean[0]), float(std[0]),
+                            bool(deficient[0]))
+    return basis, fitted[0]
+
+
+def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
+                      covered=(), j: int = DEFAULT_BASIS_SIZE,
+                      cache: RidershipCache | None = None
+                      ) -> list[SequenceValuation]:
+    """Value same-length investment sequences by multi-option LSMC, in one
+    backward recursion over all of them.
+
+    ``covered`` zones are already in service: they join every ridership
+    region and shift each position's interzone cost.  Passing a shared
+    ``cache`` reuses cumulative ridership across sequences with common
+    prefix sets; results are identical with or without it, and identical
+    to valuing each sequence on its own.  Working memory grows with
+    ``len(orders)``; value long lists in batches.
+    """
+    seqs = [o if isinstance(o, Sequence) else Sequence(tuple(o)) for o in orders]
+    if not seqs:
+        return []
+    covered = frozenset(covered)
+    h_len = len(seqs[0])
+    for seq in seqs:
+        if len(seq) != h_len:
+            raise ValueError(
+                f"sequences must share one length, got {h_len} and {len(seq)}")
+        overlap = covered & set(seq.order)
+        if overlap:
+            raise ValueError(f"sequence zones already covered: {sorted(overlap)}")
+    n_paths = paths.n_paths
+    if h_len == 0:
+        return [SequenceValuation(seq, 0.0, np.empty((0, n_paths), dtype=int),
+                                  (), np.empty(0)) for seq in seqs]
+    times = np.asarray(scenario.horizon_steps)
+    n_steps = len(times)
+    if paths.n_steps != n_steps:
+        raise ValueError(
+            f"paths cover {paths.n_steps} steps, scenario horizon has {n_steps}")
+    if cache is None:
+        cache = RidershipCache(scenario, paths, covered)
+    n_seq = len(seqs)
+    shape = (h_len, n_seq, n_paths)
+
+    # Look up every prefix's cumulative ridership before allocating the work
+    # arrays, so the large temporaries of a cache miss do not stack on them.
+    # The h-th zone's state is cumulative(prefix_h) - cumulative(prefix_{h-1}).
+    totals = [[cache.cumulative(seq.order[:h]) for h in range(h_len + 1)]
+              for seq in seqs]
+    states = np.empty((n_steps,) + shape)                 # [T, H, S, P]
+    state0 = np.empty((h_len, n_seq))
+    for s, row in enumerate(totals):
+        for h in range(h_len):
+            np.subtract(row[h + 1][0], row[h][0], out=states[:, h, s])
+            state0[h, s] = row[h + 1][1] - row[h][1]
+    thresholds = np.array([payoff_threshold(h + 1, scenario, len(covered))
+                           for h in range(h_len)])
+
+    rho = scenario.discount_rate
+    value = np.zeros(shape)
+    cash = np.zeros(shape)
+    tau = np.full(shape, NEVER, dtype=int)
+    exercise = np.empty(shape, dtype=bool)
+    chained = np.empty(shape)
+    for n in range(n_steps - 1, -1, -1):
+        expiry = n == n_steps - 1
+        disc = 1.0 if expiry else (1.0 + rho) ** (-(times[n + 1] - times[n]))
+        waiting = disc * value          # deferral value, also the regression target
+        if expiry:
+            phi = np.zeros(shape)
+        else:
+            phi = _fit_rows(states[n].reshape(-1, n_paths),
+                            waiting.reshape(-1, n_paths), j)[-1].reshape(shape)
+        # Walk down the chain as if every earlier position exercised: h takes
+        # its payoff plus h+1's walked value where it exercises and its
+        # deferral value where it does not.
+        tail = 0.0
+        for h in range(h_len - 1, -1, -1):
+            immediate = states[n, h] - thresholds[h] + tail
+            np.greater_equal(immediate, phi[h], out=exercise[h])
+            tail = chained[h] = np.where(exercise[h], immediate, waiting[h])
+        # A deferral at h blocks every later position at this step, so a path
+        # takes the walked value at h only where positions 1..h all exercise;
+        # elsewhere h keeps its next-step state.
+        for h in range(1, h_len):
+            exercise[h] &= exercise[h - 1]
+        value = waiting
+        np.copyto(value, chained, where=exercise)
+        np.copyto(cash, chained, where=exercise)
+        np.copyto(tau, n, where=exercise)
+
+    # Option value at t0: discounted value at each path's stopping time,
+    # zero for paths that never exercise.
+    disc_at_tau = np.where(tau != NEVER,
+                           (1.0 + rho) ** (-times[np.maximum(tau, 0)]), 0.0)
+    value_t0 = (disc_at_tau * cash).sum(axis=-1) / n_paths   # [H, S]
+
+    # t0 invest/defer sweep: invest when today's payoff plus the next
+    # option's t0 value beats waiting; a deferral defers the whole tail.
+    payoffs0 = state0 - thresholds[:, None]
+    invest = np.empty((h_len, n_seq), dtype=bool)
+    f0 = np.empty((h_len, n_seq))
+    tail = 0.0
+    for h in range(h_len - 1, -1, -1):
+        now = payoffs0[h] + tail
+        np.greater_equal(now, value_t0[h], out=invest[h])
+        tail = f0[h] = np.where(invest[h], now, value_t0[h])
+    for h in range(1, h_len):
+        invest[h] &= invest[h - 1]
+    return [SequenceValuation(
+        sequence=seq,
+        policy_value=float(f0[0, s]),
+        stopping_times=tau[:, s].copy(),
+        decisions_t0=tuple(INVEST if i else DEFER for i in invest[:, s]),
+        per_zone_value_t0=f0[:, s].copy(),
+    ) for s, seq in enumerate(seqs)]
 
 
 def valuate_sequence(seq, paths: DemandPaths, scenario: Scenario,
@@ -91,97 +241,7 @@ def valuate_sequence(seq, paths: DemandPaths, scenario: Scenario,
                      cache: RidershipCache | None = None) -> SequenceValuation:
     """Value one investment sequence by multi-option LSMC.
 
-    ``covered`` zones are already in service: they join every ridership
-    region and shift each position's interzone cost.  Passing a shared
-    ``cache`` reuses cumulative ridership across sequences with common
-    prefix sets; results are identical with or without it.
+    The one-ordering case of :func:`valuate_sequences`, with the same
+    ``covered`` and ``cache`` semantics.
     """
-    order = tuple(seq.order) if isinstance(seq, Sequence) else tuple(seq)
-    seq = Sequence(order) if not isinstance(seq, Sequence) else seq
-    covered = frozenset(covered)
-    overlap = covered & set(order)
-    if overlap:
-        raise ValueError(f"sequence zones already covered: {sorted(overlap)}")
-    h_len = len(order)
-    if h_len == 0:
-        return SequenceValuation(seq, 0.0, np.empty((0, paths.n_paths), dtype=int),
-                                 (), np.empty(0))
-    times = np.asarray(scenario.horizon_steps)
-    n_steps = len(times)
-    if paths.n_steps != n_steps:
-        raise ValueError(
-            f"paths cover {paths.n_steps} steps, scenario horizon has {n_steps}")
-    n_paths = paths.n_paths
-    if cache is None:
-        cache = RidershipCache(scenario, paths, covered)
-
-    # Marginal ridership of the h-th zone: cumulative(prefix_h) - cumulative(prefix_{h-1}).
-    states = np.empty((h_len, n_steps, n_paths))
-    state0 = np.empty(h_len)
-    prev, prev0 = cache.cumulative(())
-    for h in range(h_len):
-        cur, cur0 = cache.cumulative(order[:h + 1])
-        states[h] = cur - prev
-        state0[h] = cur0 - prev0
-        prev, prev0 = cur, cur0
-    thresholds = np.array([payoff_threshold(h + 1, scenario, len(covered))
-                           for h in range(h_len)])
-    payoffs = states - thresholds[:, None, None]      # [H, T, P]
-    payoffs0 = state0 - thresholds                    # [H]
-
-    rho = scenario.discount_rate
-    # 1-based h; row 0 unused, row h_len+1 is the empty chain (always 0).
-    value = np.zeros((h_len + 2, n_paths))
-    cash = np.zeros((h_len + 2, n_paths))
-    tau = np.full((h_len + 2, n_paths), NEVER, dtype=int)
-
-    for n in range(n_steps - 1, -1, -1):
-        expiry = n == n_steps - 1
-        disc = 1.0 if expiry else (1.0 + rho) ** (-(times[n + 1] - times[n]))
-        value_next = value.copy()
-        cash_next = cash.copy()
-        tau_next = tau.copy()
-        for h in range(h_len, 0, -1):
-            if expiry:
-                phi = np.zeros(n_paths)
-            else:
-                _, phi = continuation_fit(states[h - 1, n], disc * value_next[h], j)
-            immediate = payoffs[h - 1, n] + value[h + 1]
-            ex = immediate >= phi
-            value[h, ex] = immediate[ex]
-            cash[h, ex] = immediate[ex]
-            tau[h, ex] = n
-            defer = ~ex
-            # Deferring h gates the whole tail of the chain on those paths.
-            for m in range(h, h_len + 1):
-                value[m, defer] = disc * value_next[m, defer]
-                cash[m, defer] = cash_next[m, defer]
-                tau[m, defer] = tau_next[m, defer]
-
-    # Option value at t0: discounted value at each path's stopping time,
-    # zero for paths that never exercise.
-    exercised = tau[1:h_len + 1] != NEVER
-    disc_at_tau = np.where(exercised,
-                           (1.0 + rho) ** (-times[np.maximum(tau[1:h_len + 1], 0)]),
-                           0.0)
-    value_t0 = (disc_at_tau * cash[1:h_len + 1]).sum(axis=1) / n_paths
-
-    # t0 invest/defer sweep: invest when today's payoff plus the next
-    # option's t0 value beats waiting; a deferral defers the whole tail.
-    f0 = np.zeros(h_len + 2)
-    f0[1:h_len + 1] = value_t0
-    decisions = [DEFER] * h_len
-    for h in range(h_len, 0, -1):
-        if payoffs0[h - 1] + f0[h + 1] >= f0[h]:
-            decisions[h - 1] = INVEST
-            f0[h] = payoffs0[h - 1] + f0[h + 1]
-        else:
-            for m in range(h - 1, h_len):
-                decisions[m] = DEFER
-    return SequenceValuation(
-        sequence=seq,
-        policy_value=float(f0[1]),
-        stopping_times=tau[1:h_len + 1].copy(),
-        decisions_t0=tuple(decisions),
-        per_zone_value_t0=f0[1:h_len + 1].copy(),
-    )
+    return valuate_sequences([seq], paths, scenario, covered, j, cache)[0]

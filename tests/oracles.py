@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from first principles (bisection,
 lattices, exhaustive enumeration, quadrature-free closed forms) and stays
-free of the library's own solver code paths.
+free of the library's own solver code paths.  The one exception is
+``per_sequence_lsmc``, a reference recursion that reuses the library's
+ridership cache and regression fit so that it pins down the batched
+recursion alone.
 """
 
 import itertools
@@ -151,3 +154,85 @@ def paired_t_by_hand(a, b):
     n = len(d)
     sd = np.sqrt(((d - d.mean()) ** 2).sum() / (n - 1))
     return d.mean() / (sd / np.sqrt(n))
+
+
+def per_sequence_lsmc(order, paths, scenario, covered=(), j=3):
+    """Multi-option LSMC of one ordering by a plain per-position recursion.
+
+    One ordering at a time, one regression per (time, position), and a
+    deferral copies the next-step state into every later chain position.
+    It takes cumulative ridership from the library's ``RidershipCache`` and
+    each regression from the library's ``continuation_fit`` (inputs, not the
+    code under test), so a comparison isolates the recursion itself; the
+    fit is checked against ``np.linalg.lstsq`` on its own.  Returns
+    ``(policy_value, stopping_times [H, P], decisions_t0,
+    per_zone_value_t0 [H])`` with stopping times -1 for never and decisions
+    "invest"/"defer".
+    """
+    from zoneinvest.lsmc import continuation_fit
+    from zoneinvest.ridership import RidershipCache, payoff_threshold
+
+    never = -1
+    covered = frozenset(covered)
+    h_len = len(order)
+    times = np.asarray(scenario.horizon_steps)
+    n_steps = len(times)
+    n_paths = paths.n_paths
+    cache = RidershipCache(scenario, paths, covered)
+
+    states = np.empty((h_len, n_steps, n_paths))
+    state0 = np.empty(h_len)
+    prev, prev0 = cache.cumulative(())
+    for h in range(h_len):
+        cur, cur0 = cache.cumulative(order[:h + 1])
+        states[h] = cur - prev
+        state0[h] = cur0 - prev0
+        prev, prev0 = cur, cur0
+    thresholds = np.array([payoff_threshold(h + 1, scenario, len(covered))
+                           for h in range(h_len)])
+    payoffs = states - thresholds[:, None, None]
+    payoffs0 = state0 - thresholds
+
+    rho = scenario.discount_rate
+    value = np.zeros((h_len + 2, n_paths))
+    cash = np.zeros((h_len + 2, n_paths))
+    tau = np.full((h_len + 2, n_paths), never, dtype=int)
+    for n in range(n_steps - 1, -1, -1):
+        expiry = n == n_steps - 1
+        disc = 1.0 if expiry else (1.0 + rho) ** (-(times[n + 1] - times[n]))
+        value_next, cash_next, tau_next = value.copy(), cash.copy(), tau.copy()
+        for h in range(h_len, 0, -1):
+            if expiry:
+                phi = np.zeros(n_paths)
+            else:
+                _, phi = continuation_fit(states[h - 1, n],
+                                          disc * value_next[h], j)
+            immediate = payoffs[h - 1, n] + value[h + 1]
+            ex = immediate >= phi
+            value[h, ex] = immediate[ex]
+            cash[h, ex] = immediate[ex]
+            tau[h, ex] = n
+            defer = ~ex
+            for m in range(h, h_len + 1):
+                value[m, defer] = disc * value_next[m, defer]
+                cash[m, defer] = cash_next[m, defer]
+                tau[m, defer] = tau_next[m, defer]
+
+    exercised = tau[1:h_len + 1] != never
+    disc_at_tau = np.where(exercised,
+                           (1.0 + rho) ** (-times[np.maximum(tau[1:h_len + 1], 0)]),
+                           0.0)
+    value_t0 = (disc_at_tau * cash[1:h_len + 1]).sum(axis=1) / n_paths
+
+    f0 = np.zeros(h_len + 2)
+    f0[1:h_len + 1] = value_t0
+    decisions = ["defer"] * h_len
+    for h in range(h_len, 0, -1):
+        if payoffs0[h - 1] + f0[h + 1] >= f0[h]:
+            decisions[h - 1] = "invest"
+            f0[h] = payoffs0[h - 1] + f0[h + 1]
+        else:
+            for m in range(h - 1, h_len):
+                decisions[m] = "defer"
+    return (float(f0[1]), tau[1:h_len + 1].copy(), tuple(decisions),
+            f0[1:h_len + 1].copy())

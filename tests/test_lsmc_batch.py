@@ -1,0 +1,180 @@
+"""Batched LSMC against the per-ordering reference recursion.
+
+``valuate_sequences`` must give, bit for bit, what valuing each ordering on
+its own gives: the same policy values, stopping times, t0 decisions and
+per-zone values, whatever the batch it shares a call with.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from numpy.polynomial.hermite_e import hermevander
+
+from zoneinvest import policy
+from zoneinvest.lsmc import (DEFAULT_BASIS_SIZE, DEFER, NEVER,
+                             continuation_fit, valuate_sequence,
+                             valuate_sequences)
+from zoneinvest.scenario import generate_synthetic_scenario
+from zoneinvest.sequences import Sequence
+from zoneinvest.stochastic import simulate_paths
+
+from conftest import make_scenario
+from oracles import per_sequence_lsmc
+
+J = DEFAULT_BASIS_SIZE
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def problems(draw, volatility=None, worthless=False):
+    """A small scenario, its paths, a covered set and every ordering of the
+    remaining zones.  ``volatility`` fixes every zone's volatility;
+    ``worthless`` puts every threshold far above any ridership."""
+    n_zones = draw(st.integers(1, 3))
+    zones = [chr(ord("A") + i) for i in range(n_zones)]
+    per_zone = draw(st.lists(st.integers(1, 2), min_size=n_zones,
+                             max_size=n_zones))
+    mapping = {f"{z.lower()}{k}": z
+               for z, count in zip(zones, per_zone) for k in range(count)}
+    n = len(mapping)
+    demand = draw(st.lists(st.floats(0.0, 60.0, allow_subnormal=False),
+                           min_size=n * n, max_size=n * n))
+    vol = {z: draw(st.floats(0.0, 0.5)) if volatility is None else volatility
+           for z in zones}
+    cost = st.floats(0.0, 40.0, allow_subnormal=False)
+    scen = make_scenario(np.reshape(demand, (n, n)), mapping, vol,
+                         cwz=1e9 if worthless else draw(cost),
+                         ciz=draw(cost),
+                         gamma=draw(st.floats(0.0, 0.3)),
+                         drift=draw(st.floats(-0.1, 0.2)),
+                         discount=draw(st.floats(0.0, 0.3)))
+    n_paths = draw(st.sampled_from([J, J + 1, 50]))
+    paths = simulate_paths(scen, n_paths, seed=draw(st.integers(0, 2**16)))
+    covered = frozenset(draw(st.sets(st.sampled_from(zones),
+                                     max_size=n_zones - 1)))
+    seqs = [Sequence(p) for p in
+            itertools.permutations(sorted(set(zones) - covered))]
+    return scen, paths, covered, seqs
+
+
+def assert_same(val, other):
+    assert val.sequence == other.sequence
+    assert val.policy_value == other.policy_value
+    assert np.array_equal(val.stopping_times, other.stopping_times)
+    assert val.decisions_t0 == other.decisions_t0
+    assert np.array_equal(val.per_zone_value_t0, other.per_zone_value_t0)
+
+
+def assert_matches_oracle(problem):
+    scen, paths, covered, seqs = problem
+    vals = valuate_sequences(seqs, paths, scen, covered)
+    assert len(vals) == len(seqs)
+    for seq, val in zip(seqs, vals):
+        value, tau, decisions, per_zone = per_sequence_lsmc(
+            seq.order, paths, scen, covered, J)
+        assert val.sequence == seq
+        assert val.policy_value == value
+        assert np.array_equal(val.stopping_times, tau)
+        assert val.decisions_t0 == decisions
+        assert np.array_equal(val.per_zone_value_t0, per_zone)
+    return vals
+
+
+@PROPERTY
+@given(problems())
+def test_batch_equals_per_ordering_oracle(problem):
+    assert_matches_oracle(problem)
+
+
+@PROPERTY
+@given(problems(volatility=0.0))
+def test_zero_volatility_equals_oracle(problem):
+    assert_matches_oracle(problem)
+
+
+@PROPERTY
+@given(problems(worthless=True))
+def test_all_negative_payoffs_value_zero_and_defer(problem):
+    for val in assert_matches_oracle(problem):
+        assert val.policy_value == 0.0
+        assert set(val.decisions_t0) <= {DEFER}
+        assert np.all(val.stopping_times == NEVER)
+
+
+@PROPERTY
+@given(problems(), st.data())
+def test_batch_size_invariance(problem, data):
+    scen, paths, covered, seqs = problem
+    whole = valuate_sequences(seqs, paths, scen, covered)
+    cut = data.draw(st.integers(0, len(seqs)))
+    split = (valuate_sequences(seqs[:cut], paths, scen, covered)
+             + valuate_sequences(seqs[cut:], paths, scen, covered))
+    for i, seq in enumerate(seqs):
+        alone = valuate_sequence(seq, paths, scen, covered)
+        assert_same(alone, whole[i])
+        assert_same(alone, split[i])
+
+
+@PROPERTY
+@given(st.sampled_from([J, J + 1, 50]).flatmap(lambda p: st.tuples(
+    st.lists(st.integers(0, 20), min_size=p, max_size=p),
+    st.lists(st.floats(-100.0, 100.0, allow_subnormal=False),
+             min_size=p, max_size=p))))
+def test_fit_matches_lstsq(data):
+    # Integer states give exactly rank-deficient and constant designs but no
+    # near-collinear ones, on which two solvers' fits differ beyond rounding.
+    states, targets = (np.array(x, dtype=float) for x in data)
+    basis, fitted = continuation_fit(states, targets, J)
+    if basis.state_std == 0.0:
+        assert np.all(fitted == targets.mean())
+        return
+    design = hermevander((states - basis.state_mean) / basis.state_std, J - 1)
+    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    assert basis.rank_deficient == (rank < J)
+    scale = 1.0 + np.abs(targets).max()
+    assert np.allclose(fitted, design @ coef, rtol=0.0, atol=1e-9 * scale)
+
+
+def test_policy_batch_size_invariance(monkeypatch):
+    scen = generate_synthetic_scenario(4, 4, 2, 80.0)
+    paths = simulate_paths(scen, 60, seed=6)
+    full = policy.cr_policy(scen, paths)
+    monkeypatch.setattr(policy, "BATCH_SIZE", 5)  # 24 orderings: 4 x 5 + 4
+    uneven = policy.cr_policy(scen, paths)
+    monkeypatch.setattr(policy, "BATCH_SIZE", 1)
+    single = policy.cr_policy(scen, paths)
+    assert full == uneven == single
+    assert full.tables == uneven.tables == single.tables
+
+
+class TestEdgeCases:
+    @pytest.fixture(scope="class")
+    def setup(self, two_zone):
+        return two_zone, simulate_paths(two_zone, 20, seed=3)
+
+    def test_no_orderings(self, setup):
+        scen, paths = setup
+        assert valuate_sequences([], paths, scen) == []
+
+    def test_mixed_lengths_rejected(self, setup):
+        scen, paths = setup
+        with pytest.raises(ValueError, match="length"):
+            valuate_sequences([("A",), ("A", "B")], paths, scen)
+
+    def test_covered_overlap_rejected(self, setup):
+        scen, paths = setup
+        with pytest.raises(ValueError, match="covered"):
+            valuate_sequences([("B",), ("A",)], paths, scen, covered=("A",))
+
+    def test_plain_tuples_accepted(self, setup):
+        scen, paths = setup
+        vals = valuate_sequences([("A", "B"), ("B", "A")], paths, scen)
+        assert [v.sequence for v in vals] == [Sequence(("A", "B")),
+                                              Sequence(("B", "A"))]
