@@ -17,8 +17,7 @@ from .rollout import (INVEST_ALL, RolloutResult, compare_rollouts,
 from .scenario import (Scenario, ScenarioError, derive_cost_thresholds,
                        generate_synthetic_scenario, load_scenario,
                        save_scenario)
-from .sequences import (Sequence, enumerate_sequences, prune_by_travel_time,
-                        sample_sequences)
+from .sequences import Sequence, enumerate_sequences, sample_sequences
 from .stochastic import DemandPaths, dump_paths, load_paths, simulate_paths
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import labeling, neural, policy, rollout, scenario, sequences, stochastic
+from ._report import write_report
 from .lsmc import valuate_sequence
 
 log = logging.getLogger("zoneinvest")
@@ -213,6 +214,7 @@ def _dispatch(args) -> int:
         table = dict(_read_values_csv(args.values))
         ds = labeling.load_labeled(args.labeled)
         train_orders = [s.order for s in ds.sequences]
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "gap_at_k", "auc", "eta_true", "eta_pred"])
@@ -263,7 +265,7 @@ def _dispatch(args) -> int:
             "per_zone_value_t0": val.per_zone_value_t0.tolist(),
             "stopping_times": val.stopping_times.tolist(),
         }
-        Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        write_report(args.out, doc)
         print(args.out)
         return 0
     if args.command == "cr":

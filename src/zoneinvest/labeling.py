@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from ._report import write_report
 from .sequences import Sequence
 
 MLE_TOL = 1e-10  # residual tolerance for the shape equation
@@ -197,25 +198,12 @@ def save_labeled(dataset: LabeledDataset, csv_path) -> None:
     """CSV of (sequence, eta, label) plus a JSON sidecar with the thresholds
     and normalization that produced the labels."""
     csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sequence", "eta", "label"])
-        for seq, v, y in zip(dataset.sequences, dataset.values, dataset.labels):
-            writer.writerow([str(seq), repr(float(v)), int(y)])
-    sidecar = {
-        "eta_ub": dataset.eta_ub,
-        "eta_thr": dataset.eta_thr,
-        "eta_bin": dataset.eta_bin,
-        "pnr_max": dataset.pnr_max,
-        "thr_fact": dataset.thr_fact,
-        "population_size": dataset.population_size,
-        "norm_mean": dataset.norm_mean,
-        "norm_std": dataset.norm_std,
-        "forced_positive": dataset.forced_positive,
-        "degenerate_fit": dataset.degenerate_fit,
-    }
-    csv_path.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    table = [["sequence", "eta", "label"]] + [
+        [str(seq), repr(float(v)), int(y)]
+        for seq, v, y in zip(dataset.sequences, dataset.values, dataset.labels)]
+    sidecar = {f.name: getattr(dataset, f.name) for f in fields(dataset)
+               if f.name not in ("sequences", "values", "labels")}
+    write_report(csv_path.with_suffix(".json"), sidecar, table, csv_path)
 
 
 def load_labeled(csv_path) -> LabeledDataset:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._report import write_report
 from .labeling import LabeledDataset
 
 CLASSIFIER = "sigmoid-classifier"
@@ -60,6 +61,17 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in ``ALL_PARAMS`` order."""
+    shapes = {"emb": (n_vocab, d)}
+    for gate in ("f", "i", "o"):
+        shapes.update({f"W_{gate}e": (d, d), f"W_{gate}d": (d, d),
+                       f"b_{gate}": (d,)})
+    shapes.update({"W_ed": (d, d), "W_dd": (d, d), "b_c": (d,),
+                   "W_ff": (d,), "b_ff": (1,)})
+    return shapes
+
+
 def init_model(vocab, emb_size: int, head_kind: str = CLASSIFIER,
                seed: int = 0) -> LstmModel:
     """Uniform +-1/sqrt(emb_size) weights; forget-gate bias starts at 1."""
@@ -70,20 +82,13 @@ def init_model(vocab, emb_size: int, head_kind: str = CLASSIFIER,
     bound = 1.0 / np.sqrt(emb_size)
     d = emb_size
 
-    def u(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    params = {"emb": u(len(vocab), d)}
-    for gate in ("f", "i", "o"):
-        params[f"W_{gate}e"] = u(d, d)
-        params[f"W_{gate}d"] = u(d, d)
-        params[f"b_{gate}"] = np.full(d, 1.0) if gate == "f" else np.zeros(d)
-    params["W_ed"] = u(d, d)
-    params["W_dd"] = u(d, d)
-    params["b_c"] = np.zeros(d)
-    params["W_ff"] = u(d)
-    # a slightly positive output bias keeps the ReLU head from starting dead
-    params["b_ff"] = np.full(1, 0.1 if head_kind == REGRESSOR else 0.0)
+    # Weights draw in ALL_PARAMS order; biases are constant: the forget
+    # gate's starts at 1, and a slightly positive output bias keeps the ReLU
+    # head from starting dead.
+    bias = {"b_f": 1.0, "b_ff": 0.1 if head_kind == REGRESSOR else 0.0}
+    params = {name: np.full(shape, bias.get(name, 0.0)) if name.startswith("b_")
+              else rng.uniform(-bound, bound, size=shape)
+              for name, shape in _param_shapes(len(vocab), d).items()}
     return LstmModel(vocab=vocab, emb_size=d, head_kind=head_kind, params=params)
 
 
@@ -316,19 +321,6 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
     return model, history
 
 
-def select_embedding_size(dataset: LabeledDataset, sizes=(10, 50, 100, 150, 200),
-                          **hyper):
-    """Train one model per embedding size and keep the best validation loss
-    (falling back to training loss when there is no validation split)."""
-    best_model, best_hist, best_loss = None, None, np.inf
-    for size in sizes:
-        model, hist = train(dataset, emb_size=size, **hyper)
-        final = hist[-1][2] if hist[-1][2] is not None else hist[-1][1]
-        if final < best_loss:
-            best_model, best_hist, best_loss = model, hist, final
-    return best_model, best_hist
-
-
 # -- evaluation metrics -------------------------------------------------------
 
 def gap_at_k(eta_true: float, eta_pred: float) -> float:
@@ -377,7 +369,7 @@ def save_model(model: LstmModel, path) -> None:
         "params": {name: model.params[name].ravel().tolist()
                    for name in ALL_PARAMS},
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_report(path, doc)
 
 
 def load_model(path) -> LstmModel:
@@ -386,14 +378,8 @@ def load_model(path) -> LstmModel:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
     d = int(doc["emb_size"])
     vocab = tuple(doc["vocab"])
-    shapes = {"emb": (len(vocab), d), "W_ff": (d,), "b_ff": (1,)}
-    for gate in ("f", "i", "o"):
-        shapes[f"W_{gate}e"] = shapes[f"W_{gate}d"] = (d, d)
-        shapes[f"b_{gate}"] = (d,)
-    shapes["W_ed"] = shapes["W_dd"] = (d, d)
-    shapes["b_c"] = (d,)
-    params = {name: np.array(doc["params"][name]).reshape(shapes[name])
-              for name in ALL_PARAMS}
+    params = {name: np.array(doc["params"][name]).reshape(shape)
+              for name, shape in _param_shapes(len(vocab), d).items()}
     return LstmModel(vocab=vocab, emb_size=d, head_kind=doc["head_kind"],
                      params=params, target_norm=tuple(doc["target_norm"]),
                      training_meta=doc["training_meta"])

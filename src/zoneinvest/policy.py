@@ -11,7 +11,6 @@ back to plain CR, mirroring how the method is used in rolling-horizon runs.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ._report import write_report
 from .labeling import LabeledDataset, label_dataset, label_with_cutoff
 from .lsmc import valuate_sequence, valuate_sequences
 from .neural import LstmModel, auc, gap_at_k, score_and_rank, scores, train
 from .ridership import RidershipCache, cumulative_ridership, zone_payoff
 from .scenario import Scenario
-from .sequences import ENUMERATION_CAP, Sequence, enumerate_sequences, sample_sequences
+from .sequences import Sequence, enumerate_sequences, sample_sequences
 from .stochastic import DemandPaths
 
 CR = "CR"
@@ -137,15 +137,14 @@ def _finish(mode, best_seq, best_value, scenario, paths, covered, j, cache,
 
 
 def cr_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
-              j: int = 3, workers: int = 1,
-              cap: int = ENUMERATION_CAP) -> PolicyResult:
+              j: int = 3, workers: int = 1) -> PolicyResult:
     """Full-enumeration policy: value all H! sequences, keep the argmax."""
     t0 = time.perf_counter()
     covered = frozenset(covered)
     candidates = sorted(set(scenario.zones) - covered)
     if not candidates:
         raise ValueError("no candidate zones outside the covered set")
-    seqs = enumerate_sequences(candidates, cap=cap)
+    seqs = enumerate_sequences(candidates)
     cache = RidershipCache(scenario, paths, covered)
     values = _value_all(seqs, scenario, paths, covered, j, workers, cache)
     best_seq, best_value = _argmax(zip(seqs, values))
@@ -160,8 +159,7 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
                   workers: int = 1, emb_size: int = 50, lr: float = 1e-3,
                   batch_size: int = 32, max_epochs: int = 300,
                   patience: int = 20, validation_fraction: float = 0.2,
-                  small_h_threshold: int = SMALL_H_FALLBACK,
-                  cap: int = ENUMERATION_CAP) -> PolicyResult:
+                  small_h_threshold: int = SMALL_H_FALLBACK) -> PolicyResult:
     """Classifier-guided policy: sample, value, label, train, retrieve top-K,
     value those, argmax over the valued dictionary.
 
@@ -174,13 +172,12 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
     covered = frozenset(covered)
     candidates = sorted(set(scenario.zones) - covered)
     if len(candidates) <= small_h_threshold:
-        return cr_policy(scenario, paths, covered, j=j, workers=workers, cap=cap)
+        return cr_policy(scenario, paths, covered, j=j, workers=workers)
 
     root = np.random.SeedSequence(seed)
     sample_seed, train_seed = (int(s.generate_state(1)[0])
                                for s in root.spawn(2))
-    sampled, remaining = sample_sequences(candidates, frac_seq, sample_seed,
-                                          cap=cap)
+    sampled, remaining = sample_sequences(candidates, frac_seq, sample_seed)
     cache = RidershipCache(scenario, paths, covered)
     sampled_values = _value_all(sampled, scenario, paths, covered, j, workers,
                                 cache)
@@ -256,8 +253,6 @@ def report(result: PolicyResult, out, config: dict | None = None) -> Path:
     :func:`load_report`; ``run_info`` holds the volatile timestamp and
     ``config`` the caller's resolved parameters.
     """
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "config": config or {},
         "run_info": {"timestamp": datetime.now(timezone.utc).isoformat()},
@@ -275,14 +270,10 @@ def report(result: PolicyResult, out, config: dict | None = None) -> Path:
         "tables": {name: [[s, v] for s, v in rows]
                    for name, rows in result.tables.items()},
     }
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    with open(out.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["set", "sequence", "eta"])
-        for name, rows in sorted(result.tables.items()):
-            for s, v in rows:
-                writer.writerow([name, s, repr(float(v))])
-    return out
+    table = [["set", "sequence", "eta"]] + [
+        [name, s, repr(float(v))]
+        for name, rows in sorted(result.tables.items()) for s, v in rows]
+    return write_report(out, doc, table)
 
 
 def load_report(path) -> PolicyResult:

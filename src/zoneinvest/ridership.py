@@ -9,9 +9,10 @@ where the expected wait time couples all pairs through the regional total:
     TW = 0.8 * lambda_u^(1/3) * v^(-2/3),   lambda_u = sum_ij lambda_ij.
 
 The fixed point is found by iterating the two maps from lambda_0 = Q until
-the wait time moves by less than ``tol`` minutes.  Because TW is the only
-coupling, the iteration reduces to a scalar recursion on TW, which this
-module exploits to evaluate many demand matrices in one vectorized sweep.
+the wait time moves by less than ``WAIT_TOL`` minutes.  Because TW is the
+only coupling, the iteration reduces to a scalar recursion on TW, which this
+module exploits to evaluate a whole stack of demand matrices in one
+vectorized sweep.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _wait_of(total, speed):
 
 
 def _iterate_wait(attracted_sum, init_total, scenario: Scenario, *,
-                  tol=WAIT_TOL, cap=MAX_ITERATIONS, damping=1.0):
+                  cap=MAX_ITERATIONS):
     """Scalar wait-time recursion, vectorized over independent demand slices.
 
     ``attracted_sum[m]`` is sum_ij Q_ij * cost_factor_ij for slice m and
@@ -90,8 +91,8 @@ def _iterate_wait(attracted_sum, init_total, scenario: Scenario, *,
         gap = np.abs(tw_new - tw[active])
         mult[active] = mult_a
         total[active] = total_a
-        tw[active] = tw[active] + damping * (tw_new - tw[active])
-        done = gap < tol
+        tw[active] += tw_new - tw[active]
+        done = gap < WAIT_TOL
         idx_active = np.flatnonzero(active)
         active[idx_active[done]] = False
     return mult, total, tw, iters
@@ -100,8 +101,7 @@ def _iterate_wait(attracted_sum, init_total, scenario: Scenario, *,
 def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
                           subzone_index: np.ndarray | None = None, *,
                           initial_ridership: np.ndarray | None = None,
-                          tol: float = WAIT_TOL, cap: int = MAX_ITERATIONS,
-                          damping: float = 1.0) -> RidershipResult:
+                          cap: int = MAX_ITERATIONS) -> RidershipResult:
     """Fixed-point equilibrium ridership for one demand matrix.
 
     Parameters
@@ -117,7 +117,8 @@ def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
     Raises
     ------
     ConvergenceError
-        If the wait-time gap is still >= ``tol`` after ``cap`` iterations.
+        If the wait-time gap is still >= ``WAIT_TOL`` after ``cap``
+        iterations.
     """
     demand = np.asarray(demand, dtype=float)
     if demand.size == 0:
@@ -133,31 +134,40 @@ def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
     factor = _cost_factor(scenario, subzone_index)
     start = demand if initial_ridership is None else np.asarray(initial_ridership)
     mult, total, tw, iters = _iterate_wait(
-        (demand * factor).sum(), float(start.sum()), scenario,
-        tol=tol, cap=cap, damping=damping)
+        (demand * factor).sum(), float(start.sum()), scenario, cap=cap)
     return RidershipResult(od_ridership=demand * factor * mult[0],
                            total=float(total[0]), wait_time=float(tw[0]),
                            iterations=int(iters[0]))
 
 
-def cumulative_ridership(zone_set, demand_at_t: np.ndarray, scenario: Scenario,
-                         covered=()) -> float:
+def cumulative_ridership(zone_set, demand: np.ndarray, scenario: Scenario,
+                         covered=()) -> float | np.ndarray:
     """Total equilibrium ridership over the sub-zones of ``covered | zone_set``.
 
-    Depends only on the zone set (not on ordering).  An empty region has
-    ridership 0.
+    ``demand`` is one OD matrix or a stack ``[..., N, N]`` of them; every
+    matrix is solved independently and the totals come back with shape
+    ``demand.shape[:-2]`` (a float for a single matrix).  Depends only on
+    the zone set (not on ordering).  An empty region has ridership 0.
     """
     zone_set = frozenset(zone_set)
     covered = frozenset(covered)
     overlap = zone_set & covered
     if overlap:
         raise ValueError(f"zone_set overlaps covered zones: {sorted(overlap)}")
+    demand = np.asarray(demand, dtype=float)
     region = zone_set | covered
     if not region:
-        return 0.0
-    idx = scenario.subzone_indices(region)
-    sub = np.asarray(demand_at_t, dtype=float)[np.ix_(idx, idx)]
-    return equilibrium_ridership(sub, scenario, idx).total
+        totals = np.zeros(demand.shape[:-2])
+    else:
+        idx = scenario.subzone_indices(region)
+        sub = demand[..., idx[:, None], idx[None, :]]
+        if np.any(sub < 0):
+            raise ValueError("demand entries must be >= 0")
+        attracted = (sub * _cost_factor(scenario, idx)).sum(axis=(-2, -1))
+        _, totals, _, _ = _iterate_wait(attracted.ravel(),
+                                        sub.sum(axis=(-2, -1)).ravel(), scenario)
+        totals = totals.reshape(demand.shape[:-2])
+    return float(totals) if totals.ndim == 0 else totals
 
 
 def payoff_threshold(position_h: int, scenario: Scenario,
@@ -205,23 +215,10 @@ class RidershipCache:
             self.hits += 1
             return got
         self.misses += 1
-        region = key | self.covered
-        if not region:
-            out = (np.zeros((self.paths.n_steps, self.paths.n_paths)), 0.0)
-            self._memo[key] = out
-            return out
-        scen = self.scenario
-        idx = scen.subzone_indices(region)
-        factor = _cost_factor(scen, idx)
-        sub = self.paths.values[:, :, idx[:, None], idx[None, :]]  # [P,T,k,k]
-        p, t = sub.shape[0], sub.shape[1]
-        flat = sub.reshape(p * t, len(idx), len(idx))
-        attracted = (flat * factor).sum(axis=(1, 2))
-        init = flat.sum(axis=(1, 2))
-        _, totals, _, _ = _iterate_wait(attracted, init, scen)
-        by_step = totals.reshape(p, t).T.copy()  # [T,P]
-        sub0 = scen.base_demand[np.ix_(idx, idx)]
-        _, tot0, _, _ = _iterate_wait((sub0 * factor).sum(), sub0.sum(), scen)
-        out = (by_step, float(tot0[0]))
+        by_path = cumulative_ridership(key, self.paths.values, self.scenario,
+                                       self.covered)  # [P,T]
+        out = (by_path.T.copy(),
+               cumulative_ridership(key, self.scenario.base_demand,
+                                    self.scenario, self.covered))
         self._memo[key] = out
         return out

@@ -12,14 +12,13 @@ values come from a built-in two-sided table.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._report import write_report
 from .lsmc import INVEST
 from .policy import CR, CR_RNN, cr_policy, cr_rnn_policy
 from .ridership import cumulative_ridership, zone_payoff
@@ -213,8 +212,12 @@ def compare_rollouts(result: RolloutResult, benchmark: RolloutResult,
 def rollout_report(result: RolloutResult, out, config: dict | None = None) -> Path:
     """JSON report (per-epoch decision records, NPV list, profitability,
     t-test block) plus a CSV of the decision table."""
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    columns = ["path", "epoch", "invested", "covered", "payoff", "ridership"]
+    records = [
+        {"path": r.path, "epoch": r.epoch,
+         "invested": ",".join(r.invested), "covered": ",".join(r.covered),
+         "payoff": r.payoff, "ridership": r.ridership}
+        for r in result.records]
     doc = {
         "config": config or {},
         "policy_kind": result.policy_kind,
@@ -223,19 +226,7 @@ def rollout_report(result: RolloutResult, out, config: dict | None = None) -> Pa
         "pv_profit_per_path": result.pv_profit_per_path.tolist(),
         "pv_profit": result.pv_profit,
         "diff_stats": result.diff_stats,
-        "records": [
-            {"path": r.path, "epoch": r.epoch,
-             "invested": ",".join(r.invested), "covered": ",".join(r.covered),
-             "payoff": r.payoff, "ridership": r.ridership}
-            for r in result.records],
+        "records": records,
     }
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    with open(out.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "epoch", "invested", "covered",
-                         "payoff", "ridership"])
-        for r in result.records:
-            writer.writerow([r.path, r.epoch, ",".join(r.invested),
-                             ",".join(r.covered), repr(r.payoff),
-                             repr(r.ridership)])
-    return out
+    table = [columns] + [[rec[c] for c in columns] for rec in records]
+    return write_report(out, doc, table)

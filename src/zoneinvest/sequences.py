@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ENUMERATION_CAP = 9  # zones; 9! sequences is the default memory bound
+ENUMERATION_CAP = 9  # zones; 9! sequences is the memory bound
 
 
 @dataclass(frozen=True)
@@ -40,24 +40,24 @@ class Sequence:
         return cls(tuple(z.strip() for z in text.split(",") if z.strip()))
 
 
-def enumerate_sequences(zones, cap: int = ENUMERATION_CAP) -> list[Sequence]:
+def enumerate_sequences(zones) -> list[Sequence]:
     """All H! orderings of ``zones``, lexicographically sorted.
 
-    Raises if H exceeds ``cap``; use :func:`sample_sequences` (which shares
-    the cap) or pruning for larger candidate sets.
+    Raises if H exceeds ``ENUMERATION_CAP``; :func:`sample_sequences`
+    enumerates too, so the cap bounds both.
     """
     ids = sorted(set(zones))
     if not ids:
         raise ValueError("zones must be nonempty")
-    if len(ids) > cap:
+    if len(ids) > ENUMERATION_CAP:
         raise ValueError(
-            f"{len(ids)} zones exceed the enumeration cap of {cap} "
-            f"({len(ids)}! sequences); sample sequences instead")
+            f"{len(ids)} zones exceed the enumeration cap of "
+            f"{ENUMERATION_CAP} ({len(ids)}! sequences); the cap also applies "
+            f"to sample_sequences, which enumerates them all")
     return [Sequence(p) for p in itertools.permutations(ids)]
 
 
-def sample_sequences(zones, fraction: float, seed: int,
-                     cap: int = ENUMERATION_CAP):
+def sample_sequences(zones, fraction: float, seed: int):
     """Uniform sample without replacement of round(fraction * H!) sequences.
 
     Returns ``(sampled, remaining)``; the two lists partition the full
@@ -65,7 +65,7 @@ def sample_sequences(zones, fraction: float, seed: int,
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    population = enumerate_sequences(zones, cap=cap)
+    population = enumerate_sequences(zones)
     m = int(round(fraction * len(population)))
     if m < 1:
         raise ValueError(
@@ -77,37 +77,3 @@ def sample_sequences(zones, fraction: float, seed: int,
     sampled = [population[i] for i in picked]
     remaining = [s for i, s in enumerate(population) if i not in chosen]
     return sampled, remaining
-
-
-def prune_by_travel_time(sequences, tt, tt_max: float) -> list[Sequence]:
-    """Keep sequences whose every prefix stays operationally compact.
-
-    ``tt`` maps zone pairs to centroid travel minutes (``tt[a][b]``,
-    symmetric, non-negative).  A sequence survives iff for every prefix of
-    length >= 2 the mean pairwise travel time within the prefix is at most
-    ``tt_max``; the check walks prefixes from the front and stops at the
-    first violation.
-    """
-    zones = {z for s in sequences for z in s}
-    for a in zones:
-        for b in zones:
-            v = tt[a][b]
-            if v < 0:
-                raise ValueError(f"negative travel time for ({a}, {b})")
-            if abs(v - tt[b][a]) > 1e-9:
-                raise ValueError(f"travel-time matrix asymmetric at ({a}, {b})")
-    kept = []
-    for seq in sequences:
-        pair_sum = 0.0
-        ok = True
-        for k, z in enumerate(seq.order):
-            if k == 0:
-                continue
-            pair_sum += sum(tt[prev][z] for prev in seq.order[:k])
-            n_pairs = (k + 1) * k // 2
-            if pair_sum / n_pairs > tt_max:
-                ok = False
-                break
-        if ok:
-            kept.append(seq)
-    return kept

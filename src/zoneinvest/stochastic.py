@@ -76,6 +76,7 @@ def dump_paths(paths: DemandPaths, file) -> None:
     """Write the tensor for audit: a (P, steps, n_sub) header line, then the
     values in row-major order, one origin row per line."""
     p, t, n, _ = paths.values.shape
+    Path(file).parent.mkdir(parents=True, exist_ok=True)
     with open(file, "w") as fh:
         fh.write(f"{p},{t},{n}\n")
         for row in paths.values.reshape(p * t * n, n):

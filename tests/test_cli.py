@@ -181,3 +181,77 @@ def test_workers_env_override(tmp_path, scen3, monkeypatch):
     assert main(["cr", "--scenario", str(scen3), "--paths", "40",
                  "--seed", "1", "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.fixture(scope="module")
+def chain_inputs(tmp_path_factory):
+    """Scenario, cr value table, labeled sample and model to feed commands."""
+    d = tmp_path_factory.mktemp("inputs")
+    scen = d / "scenario.json"
+    save_scenario(generate_synthetic_scenario(8, 3, 2, 90.0), scen)
+    assert main(["cr", "--scenario", str(scen), "--paths", "40", "--seed", "7",
+                 "--out", str(d / "cr.json")]) == 0
+    rows = (d / "cr.csv").read_text().strip().splitlines()
+    (d / "sampled.csv").write_text("\n".join(rows[:5]) + "\n")
+    assert main(["label", "--values", str(d / "sampled.csv"),
+                 "--population", "6", "--thr-fact", "0.5", "--pnr-max", "0.5",
+                 "--out", str(d / "labeled.csv")]) == 0
+    assert main(["train", "--labeled", str(d / "labeled.csv"),
+                 "--out", str(d / "model.json"), "--emb-size", "4",
+                 "--epochs", "2", "--validation-fraction", "0"]) == 0
+    return d
+
+
+def _nested_run(command, inputs, out):
+    """argv for ``command`` writing under the missing directory ``out``, and
+    the files it must create there."""
+    scen = ["--scenario", str(inputs / "scenario.json")]
+    if command == "scenario gen":
+        return (["scenario", "gen", "--seed", "4", "--zones", "3",
+                 "--subzones-per-zone", "2", "--out", str(out / "s.json")],
+                ["s.json"])
+    if command == "simulate":
+        return ["simulate", *scen, "--paths", "3",
+                "--out", str(out / "p.csv")], ["p.csv"]
+    if command == "valuate":
+        return ["valuate", *scen, "--sequence", "z01,z02,z03", "--paths", "20",
+                "--out", str(out / "v.json")], ["v.json"]
+    if command == "cr":
+        return ["cr", *scen, "--paths", "20",
+                "--out", str(out / "r.json")], ["r.json", "r.csv"]
+    if command == "cr-rnn":
+        return (["cr-rnn", *scen, "--paths", "20", "--frac-seq", "0.5",
+                 "--pnr-max", "0.5", "--k", "2", "--max-epochs", "2",
+                 "--small-h-threshold", "2", "--out", str(out / "a" / "r.json"),
+                 "--model-out", str(out / "b" / "m.json"),
+                 "--labeled-out", str(out / "c" / "l.csv")],
+                ["a/r.json", "a/r.csv", "b/m.json", "c/l.csv", "c/l.json"])
+    if command == "label":
+        return (["label", "--values", str(inputs / "cr.csv"), "--population",
+                 "6", "--pnr-max", "0.5", "--out", str(out / "l.csv")],
+                ["l.csv", "l.json"])
+    if command == "train":
+        return (["train", "--labeled", str(inputs / "labeled.csv"),
+                 "--emb-size", "4", "--epochs", "2", "--validation-fraction",
+                 "0", "--out", str(out / "m.json")], ["m.json"])
+    if command == "evaluate":
+        return (["evaluate", "--model", str(inputs / "model.json"),
+                 "--values", str(inputs / "cr.csv"),
+                 "--labeled", str(inputs / "labeled.csv"), "--k", "1",
+                 "--out", str(out / "e.csv")], ["e.csv"])
+    assert command == "rollout"
+    return (["rollout", *scen, "--outer-paths", "1", "--epochs", "1",
+             "--policy", "invest-all", "--out", str(out / "r.json")],
+            ["r.json", "r.csv"])
+
+
+@pytest.mark.parametrize("command", ["scenario gen", "simulate", "valuate",
+                                     "cr", "cr-rnn", "label", "train",
+                                     "evaluate", "rollout"])
+def test_outputs_create_missing_parent_directories(tmp_path, chain_inputs,
+                                                   command):
+    out = tmp_path / "not" / "yet"
+    argv, files = _nested_run(command, chain_inputs, out)
+    assert main(argv) == 0
+    for name in files:
+        assert (out / name).is_file(), name

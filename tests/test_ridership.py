@@ -145,3 +145,47 @@ def test_cache_matches_direct_cumulative(two_zone):
     assert cache.misses == 1
     cache.cumulative(("A",))
     assert cache.hits == 1
+
+
+class TestStacked:
+    """cumulative_ridership over a [P, T, N, N] stack of demand matrices."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, two_zone):
+        return simulate_paths(two_zone, 12, seed=5)
+
+    @pytest.mark.parametrize("prefix,covered", [
+        (("A",), ()), (("B",), ()), (("A", "B"), ()), (("A",), ("B",))])
+    def test_shape_and_cache_agreement(self, two_zone, paths, prefix, covered):
+        totals = cumulative_ridership(prefix, paths.values, two_zone, covered)
+        assert totals.shape == (paths.n_paths, paths.n_steps)
+        cache = RidershipCache(two_zone, paths, covered)
+        assert np.array_equal(totals, cache.cumulative(prefix)[0].T)
+
+    def test_each_slice_solves_its_own_matrix(self, two_zone, paths):
+        totals = cumulative_ridership(("A", "B"), paths.values, two_zone)
+        for p, t in [(0, 0), (5, 3), (11, 4)]:
+            direct = cumulative_ridership(("A", "B"), paths.values[p, t],
+                                          two_zone)
+            assert totals[p, t] == pytest.approx(direct, rel=1e-12)
+
+    def test_empty_region_gives_zeros_of_stack_shape(self, two_zone, paths):
+        totals = cumulative_ridership((), paths.values, two_zone)
+        assert totals.shape == (paths.n_paths, paths.n_steps)
+        assert not totals.any()
+
+    def test_single_matrix_gives_float(self, two_zone):
+        assert isinstance(
+            cumulative_ridership(("A",), two_zone.base_demand, two_zone), float)
+
+    def test_overlap_and_unknown_zone_rejected(self, two_zone, paths):
+        with pytest.raises(ValueError, match="overlaps"):
+            cumulative_ridership(("A",), paths.values, two_zone, covered=("A",))
+        with pytest.raises(Exception, match="unknown zone"):
+            cumulative_ridership(("C",), paths.values, two_zone)
+
+    def test_negative_entry_rejected(self, two_zone, paths):
+        bad = paths.values.copy()
+        bad[3, 2, 0, 1] = -1.0
+        with pytest.raises(ValueError, match=">= 0"):
+            cumulative_ridership(("A",), bad, two_zone)

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from zoneinvest.sequences import (Sequence, enumerate_sequences,
-                                  prune_by_travel_time, sample_sequences)
+from zoneinvest.sequences import Sequence, enumerate_sequences, sample_sequences
 
 
 def test_single_zone_single_sequence():
@@ -69,46 +68,3 @@ class TestSampling:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             sample_sequences(["a", "b", "c"], 0.01, seed=1)
-
-
-class TestPruning:
-    tt = {
-        "a": {"a": 0.0, "b": 5.0, "c": 30.0},
-        "b": {"a": 5.0, "b": 0.0, "c": 6.0},
-        "c": {"a": 30.0, "b": 6.0, "c": 0.0},
-    }
-    seqs = enumerate_sequences(["a", "b", "c"])
-
-    def test_infinite_threshold_is_identity(self):
-        assert prune_by_travel_time(self.seqs, self.tt, float("inf")) == self.seqs
-
-    def test_offending_leading_pair_removed(self):
-        kept = prune_by_travel_time(self.seqs, self.tt, tt_max=20.0)
-        brute = []
-        for s in self.seqs:
-            ok = True
-            for k in range(2, 4):
-                prefix = s.order[:k]
-                pairs = [(prefix[i], prefix[j])
-                         for i in range(k) for j in range(i + 1, k)]
-                mean = sum(self.tt[x][y] for x, y in pairs) / len(pairs)
-                if mean > 20.0:
-                    ok = False
-                    break
-            if ok:
-                brute.append(s)
-        assert kept == brute
-        assert all(set(s.order[:2]) != {"a", "c"} for s in kept)
-
-    def test_zero_threshold_kills_everything(self):
-        assert prune_by_travel_time(self.seqs, self.tt, tt_max=0.0) == []
-
-    def test_pruning_monotone_in_threshold(self):
-        kept_tight = prune_by_travel_time(self.seqs, self.tt, tt_max=6.0)
-        kept_loose = prune_by_travel_time(self.seqs, self.tt, tt_max=15.0)
-        assert set(s.order for s in kept_tight) <= set(s.order for s in kept_loose)
-
-    def test_asymmetric_matrix_rejected(self):
-        bad = {"a": {"a": 0.0, "b": 1.0}, "b": {"a": 2.0, "b": 0.0}}
-        with pytest.raises(ValueError, match="asymmetric"):
-            prune_by_travel_time(enumerate_sequences(["a", "b"]), bad, 10.0)
