@@ -8,7 +8,7 @@ is plain minibatch Adam with full backpropagation through time, a seeded
 validation split for epoch selection, and early stopping.
 
 Everything is float64 numpy; gradients are exact (they are verified against
-finite differences in the test suite).
+finite differences and a per-gate reference in the test suite).
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .labeling import LabeledDataset
 CLASSIFIER = "sigmoid-classifier"
 REGRESSOR = "relu-regressor"
 
-CHECKPOINT_FORMAT = "zoneinvest-lstm-v1"
+CHECKPOINT_FORMAT = "zoneinvest-lstm-v2"
 
-GATE_PARAMS = ("W_fe", "W_fd", "b_f", "W_ie", "W_id", "b_i",
-               "W_oe", "W_od", "b_o", "W_ed", "W_dd", "b_c")
-ALL_PARAMS = ("emb",) + GATE_PARAMS + ("W_ff", "b_ff")
+# Parameter order of checkpoints and of the flat vector Adam updates.  The
+# gate blocks of W_x, W_h and b are stacked in the order f, i, o, c.
+PARAMS = ("emb", "W_x", "W_h", "b", "W_ff", "b_ff")
 
 
 class DivergenceError(RuntimeError):
@@ -49,10 +49,14 @@ class LstmModel:
     target_norm: tuple[float, float] = (0.0, 1.0)
     training_meta: dict = field(default_factory=dict)
 
-    def zone_indices(self, seq) -> np.ndarray:
-        lookup = {z: i for i, z in enumerate(self.vocab)}
+    def __post_init__(self):
+        self._lookup = {z: i for i, z in enumerate(self.vocab)}
+
+    def zone_indices(self, seqs) -> np.ndarray:
+        """Embedding rows of same-length sequences, shape [len(seqs), H]."""
         try:
-            return np.array([lookup[z] for z in seq], dtype=int)
+            return np.array([[self._lookup[z] for z in s] for s in seqs],
+                            dtype=int)
         except KeyError as exc:
             raise ValueError(f"zone {exc.args[0]!r} has no embedding") from None
 
@@ -61,15 +65,11 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter, in ``ALL_PARAMS`` order."""
-    shapes = {"emb": (n_vocab, d)}
-    for gate in ("f", "i", "o"):
-        shapes.update({f"W_{gate}e": (d, d), f"W_{gate}d": (d, d),
-                       f"b_{gate}": (d,)})
-    shapes.update({"W_ed": (d, d), "W_dd": (d, d), "b_c": (d,),
-                   "W_ff": (d,), "b_ff": (1,)})
-    return shapes
+def _views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """Parameter arrays as views into one flat vector, in ``shapes`` order."""
+    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
+    return {name: part.reshape(shape) for (name, shape), part
+            in zip(shapes.items(), np.split(flat, ends[:-1]))}
 
 
 def init_model(vocab, emb_size: int, head_kind: str = CLASSIFIER,
@@ -82,132 +82,123 @@ def init_model(vocab, emb_size: int, head_kind: str = CLASSIFIER,
     bound = 1.0 / np.sqrt(emb_size)
     d = emb_size
 
-    # Weights draw in ALL_PARAMS order; biases are constant: the forget
-    # gate's starts at 1, and a slightly positive output bias keeps the ReLU
-    # head from starting dead.
-    bias = {"b_f": 1.0, "b_ff": 0.1 if head_kind == REGRESSOR else 0.0}
-    params = {name: np.full(shape, bias.get(name, 0.0)) if name.startswith("b_")
-              else rng.uniform(-bound, bound, size=shape)
-              for name, shape in _param_shapes(len(vocab), d).items()}
+    # Weights draw gate by gate, input block before recurrent block, so a seed
+    # gives the per-gate layout's weights.  Biases are constant: the forget
+    # gate's starts at 1, and a positive output bias keeps the ReLU alive.
+    emb = rng.uniform(-bound, bound, size=(len(vocab), d))
+    blocks = rng.uniform(-bound, bound, size=(4, 2, d, d))
+    params = {"emb": emb, "W_x": blocks[:, 0].reshape(4 * d, d),
+              "W_h": blocks[:, 1].reshape(4 * d, d),
+              "b": np.repeat([1.0, 0.0], [d, 3 * d]),
+              "W_ff": rng.uniform(-bound, bound, size=d),
+              "b_ff": np.array([0.1 if head_kind == REGRESSOR else 0.0])}
     return LstmModel(vocab=vocab, emb_size=d, head_kind=head_kind, params=params)
 
 
-def _forward_batch(params, idx):
-    """LSTM forward over index matrix [B, H]; returns logits [B] and the
-    per-step cache needed for backpropagation."""
-    b, h_len = idx.shape
+def _steps(params, idx):
+    """Run the LSTM over index matrix [B, H], yielding each step's activated
+    gates [B, 4d], cell state, its tanh and hidden state.  Input terms come
+    from one [V, 4d] table per call; t = 0 has no recurrent term (zero state)."""
+    b_len, h_len = idx.shape
     d = params["emb"].shape[1]
-    d_t = np.zeros((b, d))
-    c_t = np.zeros((b, d))
-    cache = []
+    table = params["emb"] @ params["W_x"].T
+    w_h = np.ascontiguousarray(params["W_h"].T)  # faster than a .T view
+    h = c = np.zeros((b_len, d))
     for t in range(h_len):
-        cols = idx[:, t]
-        e = params["emb"][cols]
-        f = _sigmoid(e @ params["W_fe"].T + d_t @ params["W_fd"].T + params["b_f"])
-        i = _sigmoid(e @ params["W_ie"].T + d_t @ params["W_id"].T + params["b_i"])
-        o = _sigmoid(e @ params["W_oe"].T + d_t @ params["W_od"].T + params["b_o"])
-        g = np.tanh(e @ params["W_ed"].T + d_t @ params["W_dd"].T + params["b_c"])
-        c_new = f * c_t + i * g
-        tc = np.tanh(c_new)
-        d_new = o * tc
-        cache.append((cols, e, d_t, c_t, f, i, o, g, tc))
-        d_t, c_t = d_new, c_new
-    logits = d_t @ params["W_ff"] + params["b_ff"][0]
-    return logits, d_t, cache
+        a = table[idx[:, t]]
+        if t:
+            a += h @ w_h
+        a += params["b"]
+        a[:, :3 * d] = _sigmoid(a[:, :3 * d])
+        a[:, 3 * d:] = np.tanh(a[:, 3 * d:])
+        c = a[:, :d] * c + a[:, d:2 * d] * a[:, 3 * d:]
+        tc = np.tanh(c)
+        h = a[:, 2 * d:3 * d] * tc
+        yield a, c, tc, h
 
 
-def _head_output(logits, head_kind):
-    if head_kind == CLASSIFIER:
-        return _sigmoid(logits)
-    return np.maximum(logits, 0.0)
+def _logits(params, idx):
+    """Head logits [B], keeping only the current step's state."""
+    for _, _, _, h in _steps(params, idx):
+        pass
+    return h @ params["W_ff"] + params["b_ff"][0]
 
 
-def loss_and_gradients(params, idx, targets, head_kind):
+def _loss(logits, targets, head_kind):
     """Mean loss over the batch (BCE through the sigmoid head, MSE through
-    the ReLU head) and exact gradients for every parameter."""
-    logits, d_last, cache = _forward_batch(params, idx)
-    b = idx.shape[0]
+    the ReLU head) and its gradient with respect to the logits."""
     if head_kind == CLASSIFIER:
         # binary cross-entropy on the logit, numerically stable
-        loss = float(np.mean(np.logaddexp(0.0, logits) - targets * logits))
-        dlogit = (_sigmoid(logits) - targets) / b
-    else:
-        pred = np.maximum(logits, 0.0)
-        loss = float(np.mean((pred - targets) ** 2))
-        dlogit = 2.0 * (pred - targets) * (logits > 0) / b
-
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    grads["W_ff"] = dlogit @ d_last
-    grads["b_ff"] = np.array([dlogit.sum()])
-    grad_d = dlogit[:, None] * params["W_ff"][None, :]
-    grad_c = np.zeros_like(grad_d)
-    for cols, e, d_prev, c_prev, f, i, o, g, tc in reversed(cache):
-        da_o = grad_d * tc * o * (1.0 - o)
-        grad_c = grad_c + grad_d * o * (1.0 - tc ** 2)
-        da_f = grad_c * c_prev * f * (1.0 - f)
-        da_i = grad_c * g * i * (1.0 - i)
-        da_c = grad_c * i * (1.0 - g ** 2)
-        grads["W_fe"] += da_f.T @ e
-        grads["W_fd"] += da_f.T @ d_prev
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["W_ie"] += da_i.T @ e
-        grads["W_id"] += da_i.T @ d_prev
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["W_oe"] += da_o.T @ e
-        grads["W_od"] += da_o.T @ d_prev
-        grads["b_o"] += da_o.sum(axis=0)
-        grads["W_ed"] += da_c.T @ e
-        grads["W_dd"] += da_c.T @ d_prev
-        grads["b_c"] += da_c.sum(axis=0)
-        de = da_f @ params["W_fe"] + da_i @ params["W_ie"] \
-            + da_o @ params["W_oe"] + da_c @ params["W_ed"]
-        np.add.at(grads["emb"], cols, de)
-        grad_d = da_f @ params["W_fd"] + da_i @ params["W_id"] \
-            + da_o @ params["W_od"] + da_c @ params["W_dd"]
-        grad_c = grad_c * f
-    return loss, grads
+        return (float(np.mean(np.logaddexp(0.0, logits) - targets * logits)),
+                (_sigmoid(logits) - targets) / len(logits))
+    pred = np.maximum(logits, 0.0)
+    return (float(np.mean((pred - targets) ** 2)),
+            2.0 * (pred - targets) * (logits > 0) / len(logits))
 
 
 def _batch_loss(params, idx, targets, head_kind):
-    logits, _, _ = _forward_batch(params, idx)
-    if head_kind == CLASSIFIER:
-        return float(np.mean(np.logaddexp(0.0, logits) - targets * logits))
-    return float(np.mean((np.maximum(logits, 0.0) - targets) ** 2))
+    return _loss(_logits(params, idx), targets, head_kind)[0]
 
 
-class Adam:
-    """Canonical Adam (beta1=0.9, beta2=0.999, eps=1e-8)."""
+def loss_and_gradients(params, idx, targets, head_kind):
+    """Mean loss over the batch and exact gradients for every parameter, by
+    backpropagation through time."""
+    gates, cells, tcs, hidden = (np.stack(x) for x in zip(*_steps(params, idx)))
+    loss, dlogit = _loss(hidden[-1] @ params["W_ff"] + params["b_ff"][0],
+                         targets, head_kind)
+    b_len, h_len = idx.shape
+    d = params["emb"].shape[1]
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    # For all steps: factors taking the cell state's gradient (f, i, c) or the
+    # hidden state's (o) to each gate's pre-activation, and hidden to cell.
+    f, i, o, g = np.moveaxis(gates.reshape(h_len, b_len, 4, d), 2, 0)
+    factor = gates * (1.0 - gates)
+    by_gate = np.moveaxis(factor.reshape(h_len, b_len, 4, d), 2, 0)
+    by_gate[0, 0] = 0.0  # the initial cell state is zero
+    by_gate[0, 1:] *= cells[:-1]
+    by_gate[1] *= g
+    by_gate[2] *= tcs
+    by_gate[3] = i * (1.0 - g ** 2)
+    to_cell = o * (1.0 - tcs ** 2)
 
-    def step(self, params, grads):
-        self.t += 1
-        for k in params:
-            g = grads[k]
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g ** 2
-            m_hat = self.m[k] / (1 - self.b1 ** self.t)
-            v_hat = self.v[k] / (1 - self.b2 ** self.t)
-            params[k] = params[k] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    delta = np.empty_like(gates)  # pre-activation gradients [H, B, 4d]
+    grad_h = dlogit[:, None] * params["W_ff"][None, :]
+    grad_c = np.zeros((b_len, d))
+    for t in range(h_len - 1, -1, -1):
+        grad_c += grad_h * to_cell[t]
+        upstream = delta[t].reshape(b_len, 4, d)
+        upstream[:] = grad_c[:, None, :]
+        upstream[:, 2] = grad_h
+        delta[t] *= factor[t]
+        if t:
+            grad_h = delta[t] @ params["W_h"]
+            grad_c *= f[t]
+
+    # Input-side gradients go through per-zone sums of the deltas.
+    flat = delta.reshape(h_len * b_len, 4 * d)
+    onehot = idx.T.reshape(-1, 1) == np.arange(len(params["emb"]))
+    per_zone = onehot.T.astype(float) @ flat
+    grads = {"emb": per_zone @ params["W_x"],
+             "W_x": per_zone.T @ params["emb"],
+             "W_h": flat[b_len:].T @ hidden[:-1].reshape(-1, d),
+             "b": per_zone.sum(axis=0),
+             "W_ff": dlogit @ hidden[-1],
+             "b_ff": np.array([dlogit.sum()])}
+    return loss, grads
 
 
 def forward(model: LstmModel, seq) -> float:
     """Score one sequence: probability in [0, 1] for the classifier, a
     non-negative normalized value for the regressor."""
-    idx = model.zone_indices(seq)[None, :]
-    logits, _, _ = _forward_batch(model.params, idx)
-    return float(_head_output(logits, model.head_kind)[0])
+    return float(scores(model, [seq])[0])
 
 
 def scores(model: LstmModel, candidates) -> np.ndarray:
     """Vectorized :func:`forward` over same-length sequences."""
-    idx = np.stack([model.zone_indices(s) for s in candidates])
-    logits, _, _ = _forward_batch(model.params, idx)
-    return _head_output(logits, model.head_kind)
+    logits = _logits(model.params, model.zone_indices(candidates))
+    if model.head_kind == CLASSIFIER:
+        return _sigmoid(logits)
+    return np.maximum(logits, 0.0)
 
 
 def score_and_rank(model: LstmModel, candidates, k: int):
@@ -252,37 +243,41 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
     rng = np.random.default_rng(seed)
     model = init_model(vocab, emb_size, head_kind, seed=rng.integers(2 ** 31))
     model.target_norm = norm
-    idx_all = np.stack([model.zone_indices(s) for s in seqs])
+    idx_all = model.zone_indices(seqs)
 
     n = len(seqs)
-    if validation_fraction > 0:
-        val_mask = np.zeros(n, dtype=bool)
-        for cls in (0, 1) if head_kind == CLASSIFIER else (None,):
-            pool = np.flatnonzero(dataset.labels == cls) if cls is not None \
-                else np.arange(n)
-            n_val = int(round(validation_fraction * len(pool)))
-            n_val = min(n_val, max(len(pool) - 1, 0))
-            if n_val:
-                val_mask[rng.choice(pool, size=n_val, replace=False)] = True
-        train_idx = np.flatnonzero(~val_mask)
-        val_idx = np.flatnonzero(val_mask)
-    else:
-        train_idx = np.arange(n)
-        val_idx = np.array([], dtype=int)
+    val_mask = np.zeros(n, dtype=bool)
+    for cls in (0, 1) if head_kind == CLASSIFIER else (None,):
+        pool = np.flatnonzero(dataset.labels == cls) if cls is not None \
+            else np.arange(n)
+        n_val = int(round(validation_fraction * len(pool)))
+        n_val = min(n_val, max(len(pool) - 1, 0))
+        if n_val > 0:
+            val_mask[rng.choice(pool, size=n_val, replace=False)] = True
+    train_idx = np.flatnonzero(~val_mask)
+    val_idx = np.flatnonzero(val_mask)
     if head_kind == CLASSIFIER and (
             targets[train_idx].max() == 0 or targets[train_idx].min() == 1):
         raise ValueError("validation split left a single-class training set")
 
-    params = model.params
-    opt = Adam(params, lr=lr)
-    history = [(0, _batch_loss(params, idx_all[train_idx], targets[train_idx],
-                               head_kind),
-                _batch_loss(params, idx_all[val_idx], targets[val_idx], head_kind)
-                if len(val_idx) else None)]
-    best = {name: arr.copy() for name, arr in params.items()}
+    shapes = {name: model.params[name].shape for name in PARAMS}
+    theta = np.concatenate([model.params[name].ravel() for name in PARAMS])
+    params = _views(theta, shapes)
+    # Adam (beta1 0.9, beta2 0.999, eps 1e-8) with flat moments, in place
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m, v = np.zeros(theta.size), np.zeros(theta.size)
+    n_updates = 0
+
+    def losses():
+        return (_batch_loss(params, idx_all[train_idx], targets[train_idx],
+                            head_kind),
+                _batch_loss(params, idx_all[val_idx], targets[val_idx],
+                            head_kind) if len(val_idx) else None)
+
+    history = [(0, *losses())]
+    best = theta.copy()
     best_val = history[0][2] if len(val_idx) else np.inf
     best_epoch = 0
-    since_best = 0
     for epoch in range(1, max_epochs + 1):
         order = rng.permutation(train_idx)
         for start in range(0, len(order), batch_size):
@@ -290,28 +285,26 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
             loss, grads = loss_and_gradients(params, idx_all[batch],
                                              targets[batch], head_kind)
             if not np.isfinite(loss):
-                model.params = best
+                model.params = _views(best, shapes)
                 raise DivergenceError(epoch, model)
-            opt.step(params, grads)
-        train_loss = _batch_loss(params, idx_all[train_idx], targets[train_idx],
-                                 head_kind)
-        val_loss = _batch_loss(params, idx_all[val_idx], targets[val_idx],
-                               head_kind) if len(val_idx) else None
-        history.append((epoch, train_loss, val_loss))
-        if len(val_idx):
-            if val_loss < best_val:
-                best_val = val_loss
-                best = {name: arr.copy() for name, arr in params.items()}
-                best_epoch = epoch
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= patience:
-                    break
-        else:
-            best = params
-            best_epoch = epoch
-    model.params = {name: arr.copy() for name, arr in best.items()}
+            grad = np.concatenate([grads[name].ravel() for name in PARAMS])
+            n_updates += 1
+            m *= b1
+            m += (1 - b1) * grad
+            v *= b2
+            v += (1 - b2) * grad ** 2
+            step = lr * (m / (1 - b1 ** n_updates))
+            step /= np.sqrt(v / (1 - b2 ** n_updates)) + eps
+            theta -= step
+        history.append((epoch, *losses()))
+        val_loss = history[-1][2]
+        if not len(val_idx):
+            best, best_epoch = theta, epoch
+        elif val_loss < best_val:
+            best, best_val, best_epoch = theta.copy(), val_loss, epoch
+        elif epoch - best_epoch >= patience:
+            break
+    model.params = _views(best.copy(), shapes)
     model.training_meta = {
         "seed": seed, "lr": lr, "batch_size": batch_size,
         "epochs_run": history[-1][0], "best_epoch": best_epoch,
@@ -358,7 +351,7 @@ def auc(score_values, labels) -> float:
 
 def save_model(model: LstmModel, path) -> None:
     """Versioned JSON checkpoint: vocabulary, flat parameter arrays (in
-    ``ALL_PARAMS`` order), head kind, target normalization, training meta."""
+    ``PARAMS`` order), head kind, target normalization, training meta."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "vocab": list(model.vocab),
@@ -367,7 +360,7 @@ def save_model(model: LstmModel, path) -> None:
         "target_norm": list(model.target_norm),
         "training_meta": model.training_meta,
         "params": {name: model.params[name].ravel().tolist()
-                   for name in ALL_PARAMS},
+                   for name in PARAMS},
     }
     write_report(path, doc)
 
@@ -375,11 +368,14 @@ def save_model(model: LstmModel, path) -> None:
 def load_model(path) -> LstmModel:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
+        raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}; "
+                         f"this version reads {CHECKPOINT_FORMAT!r}")
     d = int(doc["emb_size"])
     vocab = tuple(doc["vocab"])
-    params = {name: np.array(doc["params"][name]).reshape(shape)
-              for name, shape in _param_shapes(len(vocab), d).items()}
+    shapes = {"emb": (len(vocab), d), "W_x": (4 * d, d), "W_h": (4 * d, d),
+              "b": (4 * d,), "W_ff": (d,), "b_ff": (1,)}
+    params = {name: np.array(doc["params"][name]).reshape(shapes[name])
+              for name in PARAMS}
     return LstmModel(vocab=vocab, emb_size=d, head_kind=doc["head_kind"],
                      params=params, target_norm=tuple(doc["target_norm"]),
                      training_meta=doc["training_meta"])

@@ -149,25 +149,31 @@ def cumulative_ridership(zone_set, demand: np.ndarray, scenario: Scenario,
     ``demand.shape[:-2]`` (a float for a single matrix).  Depends only on
     the zone set (not on ordering).  An empty region has ridership 0.
     """
+    demand = np.asarray(demand, dtype=float)
+    if np.any(demand < 0):
+        raise ValueError("demand entries must be >= 0")
+    totals = _region_totals(zone_set, demand, scenario, covered)
+    return float(totals) if totals.ndim == 0 else totals
+
+
+def _region_totals(zone_set, demand: np.ndarray, scenario: Scenario,
+                   covered) -> np.ndarray:
+    """:func:`cumulative_ridership` as an array, without the demand check:
+    callers pass demand they have checked to be >= 0."""
     zone_set = frozenset(zone_set)
     covered = frozenset(covered)
     overlap = zone_set & covered
     if overlap:
         raise ValueError(f"zone_set overlaps covered zones: {sorted(overlap)}")
-    demand = np.asarray(demand, dtype=float)
     region = zone_set | covered
     if not region:
-        totals = np.zeros(demand.shape[:-2])
-    else:
-        idx = scenario.subzone_indices(region)
-        sub = demand[..., idx[:, None], idx[None, :]]
-        if np.any(sub < 0):
-            raise ValueError("demand entries must be >= 0")
-        attracted = (sub * _cost_factor(scenario, idx)).sum(axis=(-2, -1))
-        _, totals, _, _ = _iterate_wait(attracted.ravel(),
-                                        sub.sum(axis=(-2, -1)).ravel(), scenario)
-        totals = totals.reshape(demand.shape[:-2])
-    return float(totals) if totals.ndim == 0 else totals
+        return np.zeros(demand.shape[:-2])
+    idx = scenario.subzone_indices(region)
+    sub = demand[..., idx[:, None], idx[None, :]]
+    attracted = (sub * _cost_factor(scenario, idx)).sum(axis=(-2, -1))
+    _, totals, _, _ = _iterate_wait(attracted.ravel(),
+                                    sub.sum(axis=(-2, -1)).ravel(), scenario)
+    return totals.reshape(demand.shape[:-2])
 
 
 def payoff_threshold(position_h: int, scenario: Scenario,
@@ -197,9 +203,14 @@ class RidershipCache:
     repeat as *sets*, so totals for all horizon steps and paths are computed
     once per subset and reused.  ``covered`` zones are part of every region.
     Not thread-safe; use one cache per worker and share read-only inputs.
+    The paths are checked once here (the scenario checks its base demand),
+    so a miss solves without re-checking its selection.
     """
 
     def __init__(self, scenario: Scenario, demand_paths, covered=()):
+        # A reduction, not `values < 0`: no temporary the size of the paths.
+        if np.nanmin(demand_paths.values) < 0:
+            raise ValueError("demand entries must be >= 0")
         self.scenario = scenario
         self.paths = demand_paths
         self.covered = frozenset(covered)
@@ -215,10 +226,10 @@ class RidershipCache:
             self.hits += 1
             return got
         self.misses += 1
-        by_path = cumulative_ridership(key, self.paths.values, self.scenario,
-                                       self.covered)  # [P,T]
+        by_path = _region_totals(key, self.paths.values, self.scenario,
+                                 self.covered)  # [P,T]
         out = (by_path.T.copy(),
-               cumulative_ridership(key, self.scenario.base_demand,
-                                    self.scenario, self.covered))
+               float(_region_totals(key, self.scenario.base_demand,
+                                    self.scenario, self.covered)))
         self._memo[key] = out
         return out

@@ -5,7 +5,9 @@ lattices, exhaustive enumeration, quadrature-free closed forms) and stays
 free of the library's own solver code paths.  The one exception is
 ``per_sequence_lsmc``, a reference recursion that reuses the library's
 ridership cache and regression fit so that it pins down the batched
-recursion alone.
+recursion alone.  ``per_gate_loss_and_gradients`` is the LSTM's first
+form, one weight pair per gate and one matmul per gate and step, kept as the
+reference for the fused-gate kernel.
 """
 
 import itertools
@@ -236,3 +238,92 @@ def per_sequence_lsmc(order, paths, scenario, covered=(), j=3):
                 decisions[m] = "defer"
     return (float(f0[1]), tau[1:h_len + 1].copy(), tuple(decisions),
             f0[1:h_len + 1].copy())
+
+
+PER_GATE_INPUT = ("W_fe", "W_ie", "W_oe", "W_ed")
+PER_GATE_RECURRENT = ("W_fd", "W_id", "W_od", "W_dd")
+PER_GATE_BIAS = ("b_f", "b_i", "b_o", "b_c")
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def stack_gates(per_gate):
+    """Per-gate arrays (``W_fe``, ``W_fd``, ``b_f``, ...) stacked into the
+    fused layout ``W_x``/``W_h``/``b`` in gate order f, i, o, c."""
+    out = {k: per_gate[k] for k in ("emb", "W_ff", "b_ff")}
+    out["W_x"] = np.vstack([per_gate[k] for k in PER_GATE_INPUT])
+    out["W_h"] = np.vstack([per_gate[k] for k in PER_GATE_RECURRENT])
+    out["b"] = np.concatenate([per_gate[k] for k in PER_GATE_BIAS])
+    return out
+
+
+def per_gate_forward(params, idx):
+    """LSTM forward with one weight pair per gate over index matrix [B, H];
+    returns logits [B], the last hidden state and the per-step cache."""
+    b, h_len = idx.shape
+    d = params["emb"].shape[1]
+    d_t = np.zeros((b, d))
+    c_t = np.zeros((b, d))
+    cache = []
+    for t in range(h_len):
+        cols = idx[:, t]
+        e = params["emb"][cols]
+        f = _sigmoid(e @ params["W_fe"].T + d_t @ params["W_fd"].T + params["b_f"])
+        i = _sigmoid(e @ params["W_ie"].T + d_t @ params["W_id"].T + params["b_i"])
+        o = _sigmoid(e @ params["W_oe"].T + d_t @ params["W_od"].T + params["b_o"])
+        g = np.tanh(e @ params["W_ed"].T + d_t @ params["W_dd"].T + params["b_c"])
+        c_new = f * c_t + i * g
+        tc = np.tanh(c_new)
+        d_new = o * tc
+        cache.append((cols, e, d_t, c_t, f, i, o, g, tc))
+        d_t, c_t = d_new, c_new
+    logits = d_t @ params["W_ff"] + params["b_ff"][0]
+    return logits, d_t, cache
+
+
+def per_gate_loss_and_gradients(params, idx, targets, head_kind):
+    """Mean loss (BCE on the logit for ``sigmoid-classifier``, MSE through a
+    ReLU otherwise) and its gradients by per-gate backpropagation through
+    time, one step and one gate at a time."""
+    logits, d_last, cache = per_gate_forward(params, idx)
+    b = idx.shape[0]
+    if head_kind == "sigmoid-classifier":
+        loss = float(np.mean(np.logaddexp(0.0, logits) - targets * logits))
+        dlogit = (_sigmoid(logits) - targets) / b
+    else:
+        pred = np.maximum(logits, 0.0)
+        loss = float(np.mean((pred - targets) ** 2))
+        dlogit = 2.0 * (pred - targets) * (logits > 0) / b
+
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads["W_ff"] = dlogit @ d_last
+    grads["b_ff"] = np.array([dlogit.sum()])
+    grad_d = dlogit[:, None] * params["W_ff"][None, :]
+    grad_c = np.zeros_like(grad_d)
+    for cols, e, d_prev, c_prev, f, i, o, g, tc in reversed(cache):
+        da_o = grad_d * tc * o * (1.0 - o)
+        grad_c = grad_c + grad_d * o * (1.0 - tc ** 2)
+        da_f = grad_c * c_prev * f * (1.0 - f)
+        da_i = grad_c * g * i * (1.0 - i)
+        da_c = grad_c * i * (1.0 - g ** 2)
+        grads["W_fe"] += da_f.T @ e
+        grads["W_fd"] += da_f.T @ d_prev
+        grads["b_f"] += da_f.sum(axis=0)
+        grads["W_ie"] += da_i.T @ e
+        grads["W_id"] += da_i.T @ d_prev
+        grads["b_i"] += da_i.sum(axis=0)
+        grads["W_oe"] += da_o.T @ e
+        grads["W_od"] += da_o.T @ d_prev
+        grads["b_o"] += da_o.sum(axis=0)
+        grads["W_ed"] += da_c.T @ e
+        grads["W_dd"] += da_c.T @ d_prev
+        grads["b_c"] += da_c.sum(axis=0)
+        de = da_f @ params["W_fe"] + da_i @ params["W_ie"] \
+            + da_o @ params["W_oe"] + da_c @ params["W_ed"]
+        np.add.at(grads["emb"], cols, de)
+        grad_d = da_f @ params["W_fd"] + da_i @ params["W_id"] \
+            + da_o @ params["W_od"] + da_c @ params["W_dd"]
+        grad_c = grad_c * f
+    return loss, grads

@@ -1,14 +1,24 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zoneinvest.labeling import LabeledDataset
-from zoneinvest.neural import (CLASSIFIER, REGRESSOR, DivergenceError, auc,
-                               forward, gap_at_k, init_model, load_model,
+from zoneinvest.neural import (CLASSIFIER, REGRESSOR, DivergenceError, _logits,
+                               auc, forward, gap_at_k, init_model, load_model,
                                loss_and_gradients, save_model, score_and_rank,
                                scores, train)
 from zoneinvest.sequences import Sequence, enumerate_sequences
 
-from oracles import finite_difference_grads
+from oracles import (PER_GATE_BIAS, PER_GATE_INPUT, PER_GATE_RECURRENT,
+                     finite_difference_grads, per_gate_forward,
+                     per_gate_loss_and_gradients, stack_gates)
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def make_labeled(seqs, labels, values=None):
@@ -48,38 +58,46 @@ class TestForward:
     def test_matches_hand_unrolled_recurrence(self):
         model = init_model(("a", "b"), 2, CLASSIFIER, seed=0)
         p = model.params
+        f, i, o, c = slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8)
         p["emb"] = np.array([[0.1, -0.2], [0.3, 0.05]])
-        p["W_fe"] = np.array([[0.2, -0.1], [0.05, 0.3]])
-        p["W_fd"] = np.array([[0.1, 0.0], [-0.2, 0.15]])
-        p["b_f"] = np.array([0.05, -0.05])
-        p["W_ie"] = np.array([[-0.3, 0.2], [0.1, 0.1]])
-        p["W_id"] = np.array([[0.0, 0.25], [0.2, -0.1]])
-        p["b_i"] = np.array([0.1, 0.0])
-        p["W_oe"] = np.array([[0.15, 0.15], [-0.1, 0.2]])
-        p["W_od"] = np.array([[0.3, -0.3], [0.0, 0.1]])
-        p["b_o"] = np.array([-0.1, 0.2])
-        p["W_ed"] = np.array([[0.25, 0.1], [-0.15, 0.05]])
-        p["W_dd"] = np.array([[0.05, 0.2], [0.1, -0.25]])
-        p["b_c"] = np.array([0.0, 0.1])
+        p["W_x"][f] = [[0.2, -0.1], [0.05, 0.3]]
+        p["W_h"][f] = [[0.1, 0.0], [-0.2, 0.15]]
+        p["b"][f] = [0.05, -0.05]
+        p["W_x"][i] = [[-0.3, 0.2], [0.1, 0.1]]
+        p["W_h"][i] = [[0.0, 0.25], [0.2, -0.1]]
+        p["b"][i] = [0.1, 0.0]
+        p["W_x"][o] = [[0.15, 0.15], [-0.1, 0.2]]
+        p["W_h"][o] = [[0.3, -0.3], [0.0, 0.1]]
+        p["b"][o] = [-0.1, 0.2]
+        p["W_x"][c] = [[0.25, 0.1], [-0.15, 0.05]]
+        p["W_h"][c] = [[0.05, 0.2], [0.1, -0.25]]
+        p["b"][c] = [0.0, 0.1]
         p["W_ff"] = np.array([0.4, -0.5])
         p["b_ff"] = np.array([0.02])
 
         def sig(x):
             return 1.0 / (1.0 + np.exp(-x))
 
+        def pre(gate, e, d):
+            return p["W_x"][gate] @ e + p["W_h"][gate] @ d + p["b"][gate]
+
         d = np.zeros(2)
-        c = np.zeros(2)
+        cell = np.zeros(2)
         for zone in ("b", "a"):
             e = p["emb"][{"a": 0, "b": 1}[zone]]
-            f = sig(p["W_fe"] @ e + p["W_fd"] @ d + p["b_f"])
-            i = sig(p["W_ie"] @ e + p["W_id"] @ d + p["b_i"])
-            o = sig(p["W_oe"] @ e + p["W_od"] @ d + p["b_o"])
-            g = np.tanh(p["W_ed"] @ e + p["W_dd"] @ d + p["b_c"])
-            c = f * c + i * g
-            d = o * np.tanh(c)
+            cell = (sig(pre(f, e, d)) * cell
+                    + sig(pre(i, e, d)) * np.tanh(pre(c, e, d)))
+            d = sig(pre(o, e, d)) * np.tanh(cell)
         by_hand = sig(p["W_ff"] @ d + p["b_ff"][0])
         assert forward(model, Sequence(("b", "a"))) == pytest.approx(
             by_hand, abs=1e-10)
+
+    def test_zone_indices_of_many_sequences(self):
+        model = init_model(("a", "b", "c"), 4, CLASSIFIER, seed=1)
+        idx = model.zone_indices([Sequence(("c", "a")), Sequence(("b", "c"))])
+        assert idx.tolist() == [[2, 0], [1, 2]]
+        with pytest.raises(ValueError, match="has no embedding"):
+            scores(model, [Sequence(("a", "b")), Sequence(("a", "z"))])
 
     def test_forward_deterministic(self):
         model = init_model(tuple("abcd"), 8, CLASSIFIER, seed=5)
@@ -106,6 +124,96 @@ class TestGradients:
             scale = max(np.abs(numeric[name]).max(), 1e-8)
             err = np.abs(analytic[name] - numeric[name]).max() / scale
             assert err < 1e-4, f"{head} {name}: rel err {err:.2e}"
+
+
+@st.composite
+def per_gate_problems(draw):
+    """Random per-gate weights, an index batch and targets for either head."""
+    head = draw(st.sampled_from([CLASSIFIER, REGRESSOR]))
+    n_vocab, d = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    h_len, batch = draw(st.integers(1, 7)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    params = {"emb": rng.normal(size=(n_vocab, d)),
+              "W_ff": rng.normal(size=d), "b_ff": rng.normal(size=1)}
+    for name in PER_GATE_INPUT + PER_GATE_RECURRENT:
+        params[name] = rng.normal(scale=scale, size=(d, d))
+    for name in PER_GATE_BIAS:
+        params[name] = rng.normal(size=d)
+    idx = rng.integers(0, n_vocab, size=(batch, h_len))
+    targets = (rng.integers(0, 2, size=batch).astype(float)
+               if head == CLASSIFIER else rng.normal(size=batch))
+    return head, params, idx, targets
+
+
+def assert_rel_close(got, want, what):
+    """Max abs difference within 1e-12 of the reference's largest entry."""
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale, what
+
+
+class TestFusedAgainstPerGate:
+    """The stacked-gate kernel against the per-gate reference in oracles."""
+
+    def test_initial_weights_follow_per_gate_draw_order(self):
+        d = 3
+        model = init_model(tuple("abcd"), d, REGRESSOR, seed=8)
+        rng = np.random.default_rng(8)
+
+        def draw(*shape):
+            return rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=shape)
+
+        per_gate = {"emb": draw(4, d)}
+        for w_in, w_rec in zip(PER_GATE_INPUT, PER_GATE_RECURRENT):
+            per_gate[w_in], per_gate[w_rec] = draw(d, d), draw(d, d)
+        per_gate["W_ff"] = draw(d)
+        per_gate.update({name: np.zeros(d) for name in PER_GATE_BIAS})
+        per_gate["b_f"] = np.ones(d)
+        per_gate["b_ff"] = np.array([0.1])
+        want = stack_gates(per_gate)
+        assert model.params.keys() == want.keys()
+        for name, arr in want.items():
+            assert np.array_equal(model.params[name], arr), name
+
+    @PROPERTY
+    @given(per_gate_problems())
+    def test_logits(self, problem):
+        _, per_gate, idx, _ = problem
+        want, _, _ = per_gate_forward(per_gate, idx)
+        assert_rel_close(_logits(stack_gates(per_gate), idx), want, "logits")
+
+    @PROPERTY
+    @given(per_gate_problems())
+    def test_loss_and_every_gradient(self, problem):
+        head, per_gate, idx, targets = problem
+        want_loss, want = per_gate_loss_and_gradients(per_gate, idx, targets,
+                                                      head)
+        loss, grads = loss_and_gradients(stack_gates(per_gate), idx, targets,
+                                         head)
+        assert_rel_close(loss, want_loss, "loss")
+        want = stack_gates(want)
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert grads[name].shape == want[name].shape, name
+            assert_rel_close(grads[name], want[name], name)
+
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2 ** 16),
+           st.data())
+    def test_scores_independent_of_split(self, h_len, d, seed, data):
+        vocab = tuple("abcdef")
+        model = init_model(vocab, d, data.draw(
+            st.sampled_from([CLASSIFIER, REGRESSOR])), seed=seed)
+        rng = np.random.default_rng(seed)
+        cands = [Sequence(tuple(rng.permutation(vocab)[:h_len]))
+                 for _ in range(data.draw(st.integers(1, 60)))]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(cands)),
+                                         max_size=4)))
+        parts = [cands[a:b] for a, b in zip([0] + cuts, cuts + [len(cands)])]
+        split = np.concatenate([scores(model, part) for part in parts if part])
+        # To rounding only: BLAS takes a matrix-vector path for one row, and
+        # its matrix-vector kernel blocks rows by batch size.
+        assert_rel_close(split, scores(model, cands), "split scores")
 
 
 def separable_dataset():
@@ -258,6 +366,20 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(again.params[name], model.params[name])
     for seq in ds.sequences[:5]:
         assert forward(again, seq) == forward(model, seq)
+
+
+def test_per_gate_checkpoint_rejected_naming_both_formats(tmp_path):
+    ds = separable_dataset()
+    model, _ = train(ds, emb_size=4, batch_size=8, max_epochs=1, seed=11)
+    save_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["format"] = "zoneinvest-lstm-v1"
+    doc["params"] = {name: [0.0] * 16 for name in PER_GATE_INPUT
+                     + PER_GATE_RECURRENT} | {"emb": doc["params"]["emb"]}
+    (tmp_path / "v1.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="zoneinvest-lstm-v1") as err:
+        load_model(tmp_path / "v1.json")
+    assert "zoneinvest-lstm-v2" in str(err.value)
 
 
 def test_unsupported_checkpoint_rejected(tmp_path):

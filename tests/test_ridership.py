@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,9 @@ class TestStacked:
         bad[3, 2, 0, 1] = -1.0
         with pytest.raises(ValueError, match=">= 0"):
             cumulative_ridership(("A",), bad, two_zone)
+
+    def test_cache_on_negative_paths_rejected(self, two_zone, paths):
+        bad = paths.values.copy()
+        bad[3, 2, 2, 3] = -1.0  # outside zone A, so only a full check sees it
+        with pytest.raises(ValueError, match=">= 0"):
+            RidershipCache(two_zone, replace(paths, values=bad))
