@@ -18,8 +18,11 @@ values to fix the invest/defer decisions.
 Many orderings of one length are valued together: the recursion runs over
 ``[position, ordering, path]`` arrays, every regression of a time step is one
 stacked fit, and the deferral block is a cumulative mask along the chain.
-Each ordering's arithmetic is the same as if it were valued alone, so the
-results do not depend on which orderings share a call.
+A zone's state depends only on the set of zones before it, so the fit
+factorizes each distinct (prefix set, zone) design once per step and shares
+it across the positions and orderings that meet it.  Each ordering's
+arithmetic is the same as if it were valued alone, so the results do not
+depend on which orderings share a call.
 """
 
 from __future__ import annotations
@@ -61,47 +64,57 @@ class SequenceValuation:
     stopping_times: np.ndarray    # [H, P] indices into horizon_steps, NEVER=-1
     decisions_t0: tuple[str, ...]  # INVEST/DEFER per position
     per_zone_value_t0: np.ndarray  # [H] option values at t0
+    rank_deficient_fits: int       # (step, position) fits on a rank-deficient design
 
 
-def _fit_rows(states: np.ndarray, targets: np.ndarray, j: int):
-    """Row-wise least-squares fits of ``targets`` on He_0..He_{j-1} of the
-    standardized ``states``; both are [R, P].
+def _fit_rows(states: np.ndarray, targets: np.ndarray, j: int,
+              design_of: np.ndarray | None = None):
+    """Row-wise least-squares fits of ``targets`` [R, P] on He_0..He_{j-1} of
+    standardized states.
 
-    Returns ``(coef [R, j], mean [R], std [R], rank_deficient [R],
-    fitted [R, P])``.  The minimum-norm solution comes from a thin SVD of each
-    design, dropping singular values at or below ``lstsq``'s default cutoff
-    ``eps * max(P, j) * s_max``.  Every reduction runs along one row, so a
-    row's fit is the same whichever rows are stacked with it.
+    ``states`` [K, P] holds one state per distinct design; row r regresses on
+    design ``design_of[r]`` (row r on design r when ``design_of`` is None).
+    Standardizing, the Hermite design and its thin SVD run once per design;
+    projections, coefficients and fitted values run per row.  Returns
+    ``(coef [R, j], mean [K], std [K], rank_deficient [K], fitted [R, P])``.
+    The minimum-norm solution drops singular values at or below ``lstsq``'s
+    default cutoff ``eps * max(P, j) * s_max``.  Every reduction runs along
+    one design or one row, so a row's fit is the same whichever rows and
+    designs are stacked with it.
     """
     p = states.shape[1]
     if j < 1:
         raise ValueError("basis size must be >= 1")
     if p < j:
         raise ValueError(f"need at least {j} paths for {j} basis functions, got {p}")
+    rows = np.arange(len(targets)) if design_of is None else design_of
     mean = states.mean(axis=1)
     std = states.std(axis=1)
     constant = ~(np.isfinite(std) & (std > 0.0))
     z = states - mean[:, None]
     z /= np.where(constant, 1.0, std)[:, None]
     z[constant] = 0.0
-    design = hermevander(z, j - 1)                       # [R, P, j]
+    design = hermevander(z, j - 1)                       # [K, P, j]
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
     keep = sv > np.finfo(float).eps * max(p, j) * sv[:, :1]
-    projected = np.stack([(u[:, :, k] * targets).sum(axis=1)
+    projected = np.stack([(u[rows, :, k] * targets).sum(axis=1)
                           for k in range(j)], axis=1)     # U^T y, [R, j]
-    weights = np.divide(projected, sv, out=np.zeros_like(projected), where=keep)
-    coef = vt[:, 0, :] * weights[:, :1]
+    weights = np.divide(projected, sv[rows], out=np.zeros_like(projected),
+                        where=keep[rows])
+    row_vt = vt[rows]
+    coef = row_vt[:, 0, :] * weights[:, :1]
     for k in range(1, j):
-        coef += vt[:, k, :] * weights[:, k:k + 1]
-    fitted = design[..., 0] * coef[:, :1]
+        coef += row_vt[:, k, :] * weights[:, k:k + 1]
+    fitted = design[rows, :, 0] * coef[:, :1]
     for i in range(1, j):
-        fitted += design[..., i] * coef[:, i:i + 1]
+        fitted += design[rows, :, i] * coef[:, i:i + 1]
 
     # A constant state carries no information: the fit is the target mean.
-    target_mean = targets[constant].mean(axis=1)
-    coef[constant] = 0.0
-    coef[constant, 0] = target_mean
-    fitted[constant] = target_mean[:, None]
+    constant_rows = constant[rows]
+    target_mean = targets[constant_rows].mean(axis=1)
+    coef[constant_rows] = 0.0
+    coef[constant_rows, 0] = target_mean
+    fitted[constant_rows] = target_mean[:, None]
     rank_deficient = ~constant & (keep.sum(axis=1) < j)
     return coef, mean, np.where(constant, 0.0, std), rank_deficient, fitted
 
@@ -151,7 +164,7 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
     n_paths = paths.n_paths
     if h_len == 0:
         return [SequenceValuation(seq, 0.0, np.empty((0, n_paths), dtype=int),
-                                  (), np.empty(0)) for seq in seqs]
+                                  (), np.empty(0), 0) for seq in seqs]
     times = np.asarray(scenario.horizon_steps)
     n_steps = len(times)
     if paths.n_steps != n_steps:
@@ -162,17 +175,25 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
     n_seq = len(seqs)
     shape = (h_len, n_seq, n_paths)
 
-    # Look up every prefix's cumulative ridership before allocating the work
+    # The h-th zone's state is cumulative(prefix_h) - cumulative(prefix_{h-1}),
+    # so it depends only on the set of earlier zones and the zone itself:
+    # key every (position, ordering) by that pair and derive states, and
+    # each step's regression design, once per key.
+    keys: dict[tuple[frozenset, str], int] = {}
+    key_of = np.empty((h_len, n_seq), dtype=int)
+    for s, seq in enumerate(seqs):
+        for h, zone in enumerate(seq.order):
+            key_of[h, s] = keys.setdefault((frozenset(seq.order[:h]), zone),
+                                           len(keys))
+    # Look up every region's cumulative ridership before allocating the work
     # arrays, so the large temporaries of a cache miss do not stack on them.
-    # The h-th zone's state is cumulative(prefix_h) - cumulative(prefix_{h-1}).
-    totals = [[cache.cumulative(seq.order[:h]) for h in range(h_len + 1)]
-              for seq in seqs]
-    states = np.empty((n_steps,) + shape)                 # [T, H, S, P]
-    state0 = np.empty((h_len, n_seq))
-    for s, row in enumerate(totals):
-        for h in range(h_len):
-            np.subtract(row[h + 1][0], row[h][0], out=states[:, h, s])
-            state0[h, s] = row[h + 1][1] - row[h][1]
+    totals = [(cache.cumulative(prefix), cache.cumulative(prefix | {zone}))
+              for prefix, zone in keys]
+    states = np.empty((n_steps, len(keys), n_paths))      # [T, K, P]
+    state0 = np.empty(len(keys))
+    for k, (before, after) in enumerate(totals):
+        np.subtract(after[0], before[0], out=states[:, k])
+        state0[k] = after[1] - before[1]
     thresholds = np.array([payoff_threshold(h + 1, scenario, len(covered))
                            for h in range(h_len)])
 
@@ -182,6 +203,7 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
     tau = np.full(shape, NEVER, dtype=int)
     exercise = np.empty(shape, dtype=bool)
     chained = np.empty(shape)
+    deficient = np.zeros(len(keys), dtype=int)  # rank-deficient steps per key
     for n in range(n_steps - 1, -1, -1):
         expiry = n == n_steps - 1
         disc = 1.0 if expiry else (1.0 + rho) ** (-(times[n + 1] - times[n]))
@@ -189,14 +211,16 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
         if expiry:
             phi = np.zeros(shape)
         else:
-            phi = _fit_rows(states[n].reshape(-1, n_paths),
-                            waiting.reshape(-1, n_paths), j)[-1].reshape(shape)
+            *_, step_deficient, phi = _fit_rows(
+                states[n], waiting.reshape(-1, n_paths), j, key_of.ravel())
+            phi = phi.reshape(shape)
+            deficient += step_deficient
         # Walk down the chain as if every earlier position exercised: h takes
         # its payoff plus h+1's walked value where it exercises and its
         # deferral value where it does not.
         tail = 0.0
         for h in range(h_len - 1, -1, -1):
-            immediate = states[n, h] - thresholds[h] + tail
+            immediate = states[n][key_of[h]] - thresholds[h] + tail
             np.greater_equal(immediate, phi[h], out=exercise[h])
             tail = chained[h] = np.where(exercise[h], immediate, waiting[h])
         # A deferral at h blocks every later position at this step, so a path
@@ -217,7 +241,7 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
 
     # t0 invest/defer sweep: invest when today's payoff plus the next
     # option's t0 value beats waiting; a deferral defers the whole tail.
-    payoffs0 = state0 - thresholds[:, None]
+    payoffs0 = state0[key_of] - thresholds[:, None]
     invest = np.empty((h_len, n_seq), dtype=bool)
     f0 = np.empty((h_len, n_seq))
     tail = 0.0
@@ -233,6 +257,7 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
         stopping_times=tau[:, s].copy(),
         decisions_t0=tuple(INVEST if i else DEFER for i in invest[:, s]),
         per_zone_value_t0=f0[:, s].copy(),
+        rank_deficient_fits=int(deficient[key_of[:, s]].sum()),
     ) for s, seq in enumerate(seqs)]
 
 

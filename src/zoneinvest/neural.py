@@ -194,7 +194,14 @@ def forward(model: LstmModel, seq) -> float:
 
 
 def scores(model: LstmModel, candidates) -> np.ndarray:
-    """Vectorized :func:`forward` over same-length sequences."""
+    """Vectorized :func:`forward` over same-length sequences.
+
+    A candidate's score agrees across batch splits only to ~1e-12, not bit
+    for bit: BLAS takes a matrix-vector path for a single row and blocks the
+    head's matrix-vector product by batch size.  :func:`score_and_rank`
+    scores all its candidates in one call, so policy outputs are
+    reproducible.
+    """
     logits = _logits(model.params, model.zone_indices(candidates))
     if model.head_kind == CLASSIFIER:
         return _sigmoid(logits)

@@ -22,7 +22,9 @@ import numpy as np
 
 from ._report import write_report
 from .labeling import LabeledDataset, label_dataset, label_with_cutoff
-from .lsmc import valuate_sequence, valuate_sequences
+# valuate_sequence is not called here; it stays bound as policy.valuate_sequence,
+# a name outside callers look up (e.g. to wrap it with a timer).
+from .lsmc import valuate_sequence, valuate_sequences  # noqa: F401
 from .neural import LstmModel, auc, gap_at_k, score_and_rank, scores, train
 from .ridership import RidershipCache, cumulative_ridership, zone_payoff
 from .scenario import Scenario
@@ -34,9 +36,11 @@ CR_RNN = "CR-RNN"
 
 SMALL_H_FALLBACK = 6  # candidate counts at or below this use plain CR
 
-# Orderings per LSMC recursion.  A batch holds [T, H, batch, P] states and
-# the stacked fit's work arrays, so peak memory grows with it, while at
-# H=7, P=300 sizes 8 to 32 run equally fast and 4 runs slower.
+# Orderings per LSMC recursion.  A batch holds [H, batch, P] work arrays,
+# states per distinct (prefix set, zone) and the stacked fit's temporaries,
+# so peak memory grows with it.  Neighbouring orderings share designs, so
+# larger batches fit fewer per ordering: one H=7, P=300 CR call took ~6.0,
+# 4.6, 3.6, 3.2 and 3.6 s at sizes 4, 8, 16, 32 and 64.
 BATCH_SIZE = 16
 
 
@@ -66,12 +70,14 @@ def _init_worker(scenario, paths, covered, j):
     _WORKER["cache"] = RidershipCache(scenario, paths, covered)
 
 
-def _value_batches(seqs, scenario, paths, covered, j, cache) -> list[float]:
-    values = []
+def _value_batches(seqs, scenario, paths, covered, j, cache) -> list:
+    # Only the t0 decisions ride along: stopping times would hold [H, P] per
+    # ordering, and the decisions are all the winner needs.
+    valued = []
     for i in range(0, len(seqs), BATCH_SIZE):
-        values.extend(v.policy_value for v in valuate_sequences(
+        valued.extend((v.policy_value, v.decisions_t0) for v in valuate_sequences(
             seqs[i:i + BATCH_SIZE], paths, scenario, covered, j, cache))
-    return values
+    return valued
 
 
 def _value_chunk(orders):
@@ -79,8 +85,9 @@ def _value_chunk(orders):
     return _value_batches(orders, scenario, paths, covered, j, _WORKER["cache"])
 
 
-def _value_all(seqs, scenario, paths, covered, j, workers, cache) -> list[float]:
-    """Policy values for ``seqs``, in order; identical for any worker count.
+def _value_all(seqs, scenario, paths, covered, j, workers, cache) -> list:
+    """``(policy value, t0 decisions)`` for ``seqs``, in order; identical for
+    any worker count.
 
     ``cache`` serves the in-process path; each worker builds its own.
     """
@@ -110,20 +117,26 @@ def deterministic_npv(order, scenario: Scenario, covered=()) -> float:
     return npv
 
 
-def _argmax(pairs):
-    """(sequence, value) with the highest value, ties to the first zone order."""
-    return min(pairs, key=lambda sv: (-sv[1], sv[0].order))
+def _argmax(seqs, valued):
+    """(sequence, value, decisions) with the highest value, ties to the first
+    zone order."""
+    best = min(range(len(seqs)), key=lambda i: (-valued[i][0], seqs[i].order))
+    return (seqs[best], *valued[best])
 
 
-def _finish(mode, best_seq, best_value, scenario, paths, covered, j, cache,
-            tables, count, t_start, degenerate=False, model=None, dataset=None):
-    best = valuate_sequence(best_seq, paths, scenario, covered, j, cache)
+def _table(seqs, valued):
+    return [(seq, value) for seq, (value, _) in zip(seqs, valued)]
+
+
+def _finish(mode, best, scenario, covered, tables, count, t_start,
+            degenerate=False, model=None, dataset=None):
+    best_seq, best_value, best_decisions = best
     npv = deterministic_npv(best_seq.order, scenario, covered)
     return PolicyResult(
         mode=mode,
         best_sequence=best_seq,
         best_value=best_value,
-        decisions={z: d for z, d in zip(best_seq.order, best.decisions_t0)},
+        decisions={z: d for z, d in zip(best_seq.order, best_decisions)},
         npv_deterministic=npv,
         option_premium=best_value - npv,
         evaluated_count=count,
@@ -146,11 +159,10 @@ def cr_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
         raise ValueError("no candidate zones outside the covered set")
     seqs = enumerate_sequences(candidates)
     cache = RidershipCache(scenario, paths, covered)
-    values = _value_all(seqs, scenario, paths, covered, j, workers, cache)
-    best_seq, best_value = _argmax(zip(seqs, values))
-    tables = {"all": list(zip(seqs, values))}
-    return _finish(CR, best_seq, best_value, scenario, paths, covered, j,
-                   cache, tables, len(seqs), t0)
+    valued = _value_all(seqs, scenario, paths, covered, j, workers, cache)
+    tables = {"all": _table(seqs, valued)}
+    return _finish(CR, _argmax(seqs, valued), scenario, covered, tables,
+                   len(seqs), t0)
 
 
 def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
@@ -179,18 +191,16 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
                                for s in root.spawn(2))
     sampled, remaining = sample_sequences(candidates, frac_seq, sample_seed)
     cache = RidershipCache(scenario, paths, covered)
-    sampled_values = _value_all(sampled, scenario, paths, covered, j, workers,
-                                cache)
+    sampled_valued = _value_all(sampled, scenario, paths, covered, j,
+                                workers, cache)
     population = len(sampled) + len(remaining)
-    dataset = label_dataset(list(zip(sampled, sampled_values)), population,
-                            thr_fact, pnr_max)
+    tables = {"sampled": _table(sampled, sampled_valued)}
+    dataset = label_dataset(tables["sampled"], population, thr_fact, pnr_max)
     degenerate = dataset.forced_positive or dataset.degenerate_fit
-    tables = {"sampled": list(zip(sampled, sampled_values))}
 
     if not remaining:
-        best_seq, best_value = _argmax(zip(sampled, sampled_values))
-        return _finish(CR_RNN, best_seq, best_value, scenario, paths, covered,
-                       j, cache, tables, len(sampled), t0, degenerate, None,
+        return _finish(CR_RNN, _argmax(sampled, sampled_valued), scenario,
+                       covered, tables, len(sampled), t0, degenerate, None,
                        dataset)
 
     try:
@@ -204,15 +214,12 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
             f"sequences: {exc}") from exc
     top = score_and_rank(model, remaining, min(k, len(remaining)))
     top_seqs = [s for s, _ in top]
-    top_values = _value_all(top_seqs, scenario, paths, covered, j, workers,
+    top_valued = _value_all(top_seqs, scenario, paths, covered, j, workers,
                             cache)
-    tables["top_k"] = list(zip(top_seqs, top_values))
-
-    best_seq, best_value = _argmax(list(zip(sampled, sampled_values))
-                                   + list(zip(top_seqs, top_values)))
-    return _finish(CR_RNN, best_seq, best_value, scenario, paths, covered, j,
-                   cache, tables, len(sampled) + len(top_seqs), t0, degenerate,
-                   model, dataset)
+    tables["top_k"] = _table(top_seqs, top_valued)
+    best = _argmax(sampled + top_seqs, sampled_valued + top_valued)
+    return _finish(CR_RNN, best, scenario, covered, tables,
+                   len(sampled) + len(top_seqs), t0, degenerate, model, dataset)
 
 
 # -- retrieval evaluation ------------------------------------------------------

@@ -168,8 +168,9 @@ def per_sequence_lsmc(order, paths, scenario, covered=(), j=3):
     code under test), so a comparison isolates the recursion itself; the
     fit is checked against ``np.linalg.lstsq`` on its own.  Returns
     ``(policy_value, stopping_times [H, P], decisions_t0,
-    per_zone_value_t0 [H])`` with stopping times -1 for never and decisions
-    "invest"/"defer".
+    per_zone_value_t0 [H], rank_deficient_fits)`` with stopping times -1 for
+    never, decisions "invest"/"defer", and the number of (time, position)
+    regressions whose fit was flagged rank-deficient.
     """
     from zoneinvest.lsmc import continuation_fit
     from zoneinvest.ridership import RidershipCache, payoff_threshold
@@ -199,6 +200,7 @@ def per_sequence_lsmc(order, paths, scenario, covered=(), j=3):
     value = np.zeros((h_len + 2, n_paths))
     cash = np.zeros((h_len + 2, n_paths))
     tau = np.full((h_len + 2, n_paths), never, dtype=int)
+    rank_deficient_fits = 0
     for n in range(n_steps - 1, -1, -1):
         expiry = n == n_steps - 1
         disc = 1.0 if expiry else (1.0 + rho) ** (-(times[n + 1] - times[n]))
@@ -207,8 +209,9 @@ def per_sequence_lsmc(order, paths, scenario, covered=(), j=3):
             if expiry:
                 phi = np.zeros(n_paths)
             else:
-                _, phi = continuation_fit(states[h - 1, n],
-                                          disc * value_next[h], j)
+                basis, phi = continuation_fit(states[h - 1, n],
+                                              disc * value_next[h], j)
+                rank_deficient_fits += basis.rank_deficient
             immediate = payoffs[h - 1, n] + value[h + 1]
             ex = immediate >= phi
             value[h, ex] = immediate[ex]
@@ -237,7 +240,7 @@ def per_sequence_lsmc(order, paths, scenario, covered=(), j=3):
             for m in range(h - 1, h_len):
                 decisions[m] = "defer"
     return (float(f0[1]), tau[1:h_len + 1].copy(), tuple(decisions),
-            f0[1:h_len + 1].copy())
+            f0[1:h_len + 1].copy(), rank_deficient_fits)
 
 
 PER_GATE_INPUT = ("W_fe", "W_ie", "W_oe", "W_ed")

@@ -1,8 +1,10 @@
 """Batched LSMC against the per-ordering reference recursion.
 
 ``valuate_sequences`` must give, bit for bit, what valuing each ordering on
-its own gives: the same policy values, stopping times, t0 decisions and
-per-zone values, whatever the batch it shares a call with.
+its own gives: the same policy values, stopping times, t0 decisions,
+per-zone values and rank-deficient fit counts, whatever the batch it shares
+a call with.  The fit factorizes each distinct design once and shares it
+between rows; that must equal fitting the same designs stacked row by row.
 """
 
 import itertools
@@ -15,12 +17,12 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermevander
 
 from zoneinvest import policy
-from zoneinvest.lsmc import (DEFAULT_BASIS_SIZE, DEFER, NEVER,
+from zoneinvest.lsmc import (DEFAULT_BASIS_SIZE, DEFER, NEVER, _fit_rows,
                              continuation_fit, valuate_sequence,
                              valuate_sequences)
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence
-from zoneinvest.stochastic import simulate_paths
+from zoneinvest.stochastic import DemandPaths, simulate_paths
 
 from conftest import make_scenario
 from oracles import per_sequence_lsmc
@@ -32,12 +34,23 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+def doubled(paths):
+    """``paths`` with every path taken twice: states then take at most as
+    many distinct values as there were paths."""
+    return DemandPaths(np.concatenate([paths.values, paths.values]),
+                       paths.seed, 2 * paths.n_paths, paths.dt)
+
+
 @st.composite
-def problems(draw, volatility=None, worthless=False):
+def problems(draw, volatility=None, worthless=False, n_zones=None):
     """A small scenario, its paths, a covered set and every ordering of the
     remaining zones.  ``volatility`` fixes every zone's volatility;
-    ``worthless`` puts every threshold far above any ridership."""
-    n_zones = draw(st.integers(1, 3))
+    ``worthless`` puts every threshold far above any ridership; ``n_zones``
+    fixes the zone count and covers none of them.  When two paths are
+    drawn, each is taken twice: non-constant designs then have rank 2 and
+    are flagged rank-deficient."""
+    fixed = n_zones is not None
+    n_zones = n_zones if fixed else draw(st.integers(1, 3))
     zones = [chr(ord("A") + i) for i in range(n_zones)]
     per_zone = draw(st.lists(st.integers(1, 2), min_size=n_zones,
                              max_size=n_zones))
@@ -55,10 +68,12 @@ def problems(draw, volatility=None, worthless=False):
                          gamma=draw(st.floats(0.0, 0.3)),
                          drift=draw(st.floats(-0.1, 0.2)),
                          discount=draw(st.floats(0.0, 0.3)))
-    n_paths = draw(st.sampled_from([J, J + 1, 50]))
+    n_paths = draw(st.sampled_from([2, J, J + 1, 50]))
     paths = simulate_paths(scen, n_paths, seed=draw(st.integers(0, 2**16)))
-    covered = frozenset(draw(st.sets(st.sampled_from(zones),
-                                     max_size=n_zones - 1)))
+    if n_paths < J:
+        paths = doubled(paths)
+    covered = frozenset() if fixed else frozenset(draw(st.sets(
+        st.sampled_from(zones), max_size=n_zones - 1)))
     seqs = [Sequence(p) for p in
             itertools.permutations(sorted(set(zones) - covered))]
     return scen, paths, covered, seqs
@@ -70,6 +85,7 @@ def assert_same(val, other):
     assert np.array_equal(val.stopping_times, other.stopping_times)
     assert val.decisions_t0 == other.decisions_t0
     assert np.array_equal(val.per_zone_value_t0, other.per_zone_value_t0)
+    assert val.rank_deficient_fits == other.rank_deficient_fits
 
 
 def assert_matches_oracle(problem):
@@ -77,13 +93,14 @@ def assert_matches_oracle(problem):
     vals = valuate_sequences(seqs, paths, scen, covered)
     assert len(vals) == len(seqs)
     for seq, val in zip(seqs, vals):
-        value, tau, decisions, per_zone = per_sequence_lsmc(
+        value, tau, decisions, per_zone, deficient = per_sequence_lsmc(
             seq.order, paths, scen, covered, J)
         assert val.sequence == seq
         assert val.policy_value == value
         assert np.array_equal(val.stopping_times, tau)
         assert val.decisions_t0 == decisions
         assert np.array_equal(val.per_zone_value_t0, per_zone)
+        assert val.rank_deficient_fits == deficient
     return vals
 
 
@@ -91,6 +108,33 @@ def assert_matches_oracle(problem):
 @given(problems())
 def test_batch_equals_per_ordering_oracle(problem):
     assert_matches_oracle(problem)
+
+
+@PROPERTY
+@given(problems(), st.data())
+def test_repeated_orderings_equal_oracle(problem, data):
+    scen, paths, covered, seqs = problem
+    repeated = data.draw(st.lists(st.sampled_from(seqs), min_size=2,
+                                  max_size=8))
+    assert_matches_oracle((scen, paths, covered, repeated))
+
+
+@settings(PROPERTY, max_examples=25)
+@given(problems(n_zones=4))
+def test_four_zones_equal_oracle(problem):
+    # 24 orderings: (prefix set, zone) keys repeat across positions and
+    # orderings, and one batch shares each design among them.
+    assert len(problem[3]) == 24
+    assert_matches_oracle(problem)
+
+
+def test_doubled_paths_flag_rank_deficient_fits():
+    scen = generate_synthetic_scenario(2, 3, 2, 80.0)
+    paths = doubled(simulate_paths(scen, 2, seed=4))
+    seqs = [Sequence(p) for p in itertools.permutations(scen.zones)]
+    vals = assert_matches_oracle((scen, paths, frozenset(), seqs))
+    # Two distinct states per design: every non-constant fit is deficient.
+    assert all(v.rank_deficient_fits > 0 for v in vals)
 
 
 @PROPERTY
@@ -120,6 +164,53 @@ def test_batch_size_invariance(problem, data):
         alone = valuate_sequence(seq, paths, scen, covered)
         assert_same(alone, whole[i])
         assert_same(alone, split[i])
+
+
+@st.composite
+def keyed_fits(draw):
+    """Designs [K, P] of three kinds, a row -> design index and targets
+    [R, P].  Integer states make constant and two-valued (rank-deficient)
+    designs exact."""
+    p = draw(st.sampled_from([J, J + 1, 50]))
+    kinds = draw(st.lists(st.sampled_from(["constant", "two-valued",
+                                           "general"]), min_size=1,
+                          max_size=6))
+    states = []
+    for kind in kinds:
+        if kind == "constant":
+            states.append([draw(st.integers(0, 20))] * p)
+        elif kind == "two-valued":
+            pair = draw(st.lists(st.integers(0, 20), min_size=2, max_size=2,
+                                 unique=True))
+            states.append([pair[i % 2] for i in range(p)])
+        else:
+            states.append(draw(st.lists(
+                st.floats(-1e3, 1e3, allow_subnormal=False),
+                min_size=p, max_size=p)))
+    design_of = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1,
+                              max_size=12))
+    targets = draw(st.lists(st.lists(
+        st.floats(-100.0, 100.0, allow_subnormal=False), min_size=p,
+        max_size=p), min_size=len(design_of), max_size=len(design_of)))
+    return (np.array(kinds), np.array(states, dtype=float),
+            np.array(design_of), np.array(targets, dtype=float))
+
+
+@PROPERTY
+@given(keyed_fits())
+def test_keyed_fit_equals_row_stacked_fit(data):
+    kinds, states, design_of, targets = data
+    coef, mean, std, deficient, fitted = _fit_rows(states, targets, J,
+                                                   design_of)
+    row_coef, row_mean, row_std, row_deficient, row_fitted = _fit_rows(
+        states[design_of], targets, J)
+    assert np.array_equal(coef, row_coef)
+    assert np.array_equal(fitted, row_fitted)
+    assert np.array_equal(mean[design_of], row_mean)
+    assert np.array_equal(std[design_of], row_std)
+    assert np.array_equal(deficient[design_of], row_deficient)
+    assert np.all(deficient[kinds == "two-valued"])
+    assert not np.any(deficient[kinds == "constant"])
 
 
 @PROPERTY

@@ -26,8 +26,9 @@ def small():
 
 def test_argmax_breaks_ties_lexicographically():
     a, b = Sequence(("a", "b")), Sequence(("b", "a"))
-    assert _argmax([(b, 1.0), (a, 1.0)])[0] == a
-    assert _argmax([(b, 2.0), (a, 1.0)])[0] == b
+    defer, invest = ("defer", "defer"), ("invest", "defer")
+    assert _argmax([b, a], [(1.0, defer), (1.0, invest)]) == (a, 1.0, invest)
+    assert _argmax([b, a], [(2.0, defer), (1.0, invest)]) == (b, 2.0, defer)
 
 
 def test_single_zone_policy_reduces_to_exercise_test():
