@@ -24,20 +24,27 @@ from .lsmc import valuate_sequence
 log = logging.getLogger("zoneinvest")
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("ZONEINVEST_WORKERS", "1"))
-
-
-def _add_common(p, out_required=True):
+def _add_common(p):
     p.add_argument("--scenario", required=True, help="scenario JSON config")
     p.add_argument("--paths", type=int, default=300,
                    help="number of simulated demand paths")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=out_required, help="report output path")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--out", required=True, help="report output path")
+
+
+def _add_valuation(p):
+    _add_common(p)
+    p.add_argument("--covered", default="",
+                   help="comma-joined zones already in service")
+    p.add_argument("--j", type=int, default=3, help="regression basis size")
+
+
+def _add_workers(p):
+    # argparse converts a string default, so the environment is parsed too.
+    p.add_argument("--workers", type=int,
+                   default=os.environ.get("ZONEINVEST_WORKERS", "1"),
                    help="parallel sequence valuations "
                         "(default: ZONEINVEST_WORKERS or 1)")
-    p.add_argument("--j", type=int, default=3, help="regression basis size")
 
 
 def _add_rnn_flags(p):
@@ -48,15 +55,17 @@ def _add_rnn_flags(p):
     p.add_argument("--thr-fact", type=float, default=0.1,
                    help="labeling threshold factor below the estimated bound")
     p.add_argument("--k", type=int, default=50, help="top-K retrieved sequences")
+    _add_train_flags(p, "--max-epochs")
+
+
+def _add_train_flags(p, epochs_flag):
     p.add_argument("--emb-size", type=int, default=50)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=300,
+    p.add_argument(epochs_flag, dest="max_epochs", type=int, default=300,
                    help="training epoch cap")
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--validation-fraction", type=float, default=0.2)
-    p.add_argument("--small-h-threshold", type=int, default=policy.SMALL_H_FALLBACK,
-                   help="candidate counts at or below this use plain CR")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,19 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sim)
 
     p_val = sub.add_parser("valuate", help="value one investment sequence")
-    _add_common(p_val)
+    _add_valuation(p_val)
     p_val.add_argument("--sequence", required=True,
                        help="comma-joined zone ids, in investment order")
-    p_val.add_argument("--covered", default="",
-                       help="comma-joined zones already in service")
 
     p_cr = sub.add_parser("cr", help="full-enumeration CR policy")
-    _add_common(p_cr)
-    p_cr.add_argument("--covered", default="")
+    _add_valuation(p_cr)
+    _add_workers(p_cr)
 
     p_rnn = sub.add_parser("cr-rnn", help="classifier-guided CR-RNN policy")
-    _add_common(p_rnn)
-    p_rnn.add_argument("--covered", default="")
+    _add_valuation(p_rnn)
+    _add_workers(p_rnn)
     _add_rnn_flags(p_rnn)
     p_rnn.add_argument("--model-out", help="write the trained classifier here")
     p_rnn.add_argument("--labeled-out", help="write the labeled training set here")
@@ -110,12 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="model checkpoint path")
     p_train.add_argument("--head", choices=["classifier", "regressor"],
                          default="classifier")
-    p_train.add_argument("--emb-size", type=int, default=50)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--batch", type=int, default=32)
-    p_train.add_argument("--epochs", type=int, default=300)
-    p_train.add_argument("--patience", type=int, default=20)
-    p_train.add_argument("--validation-fraction", type=float, default=0.2)
+    _add_train_flags(p_train, "--epochs")
     p_train.add_argument("--seed", type=int, default=0)
 
     p_eval = sub.add_parser("evaluate",
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roll.add_argument("--inner-paths", type=int, default=300)
     p_roll.add_argument("--benchmark", action="store_true",
                         help="also run invest-all and attach the paired t-test")
-    p_roll.add_argument("--workers", type=int, default=None)
+    _add_workers(p_roll)
     p_roll.add_argument("--out", required=True)
     _add_rnn_flags(p_roll)
     return parser
@@ -157,10 +159,6 @@ def _read_values_csv(path) -> list[tuple[tuple[str, ...], float]]:
             for r in rows]
 
 
-def _zone_list(text: str) -> tuple[str, ...]:
-    return tuple(z.strip() for z in text.split(",") if z.strip())
-
-
 def _resolved_config(args) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("command", "scenario_command", "verbose")}
@@ -168,13 +166,15 @@ def _resolved_config(args) -> dict:
     return cfg
 
 
+def _train_kwargs(args) -> dict:
+    return dict(emb_size=args.emb_size, lr=args.lr, batch_size=args.batch,
+                max_epochs=args.max_epochs, patience=args.patience,
+                validation_fraction=args.validation_fraction)
+
+
 def _rnn_kwargs(args) -> dict:
     return dict(frac_seq=args.frac_seq, pnr_max=args.pnr_max, k=args.k,
-                thr_fact=args.thr_fact, emb_size=args.emb_size, lr=args.lr,
-                batch_size=args.batch, max_epochs=args.max_epochs,
-                patience=args.patience,
-                validation_fraction=args.validation_fraction,
-                small_h_threshold=args.small_h_threshold)
+                thr_fact=args.thr_fact, **_train_kwargs(args))
 
 
 def _dispatch(args) -> int:
@@ -200,10 +200,8 @@ def _dispatch(args) -> int:
     if args.command == "train":
         ds = labeling.load_labeled(args.labeled)
         head = neural.CLASSIFIER if args.head == "classifier" else neural.REGRESSOR
-        model, history = neural.train(
-            ds, emb_size=args.emb_size, lr=args.lr, batch_size=args.batch,
-            max_epochs=args.epochs, seed=args.seed, patience=args.patience,
-            validation_fraction=args.validation_fraction, head_kind=head)
+        model, history = neural.train(ds, seed=args.seed, head_kind=head,
+                                      **_train_kwargs(args))
         neural.save_model(model, args.out)
         log.info("trained %d epochs (best %s)", history[-1][0],
                  model.training_meta.get("best_epoch"))
@@ -230,19 +228,18 @@ def _dispatch(args) -> int:
     if args.command == "rollout":
         kind = {"cr": policy.CR, "cr-rnn": policy.CR_RNN,
                 "invest-all": rollout.INVEST_ALL}[args.policy]
-        workers = args.workers if args.workers is not None else _default_workers()
+        covered = sequences.Sequence.parse(args.covered).order
         res = rollout.run_rollout(
             scen, n_paths=args.outer_paths, n_epochs=args.epochs,
             seed=args.seed, policy_kind=kind,
-            initial_covered=_zone_list(args.covered),
-            inner_paths=args.inner_paths, inner=_rnn_kwargs(args),
-            workers=workers)
+            initial_covered=covered, inner_paths=args.inner_paths,
+            inner=_rnn_kwargs(args), workers=args.workers)
         if args.benchmark:
             bench = rollout.run_rollout(
                 scen, n_paths=args.outer_paths, n_epochs=args.epochs,
                 seed=args.seed, policy_kind=rollout.INVEST_ALL,
-                initial_covered=_zone_list(args.covered),
-                inner_paths=args.inner_paths, workers=workers)
+                initial_covered=covered, inner_paths=args.inner_paths,
+                workers=args.workers)
             res = rollout.compare_rollouts(res, bench)
         rollout.rollout_report(res, args.out, config=cfg)
         print(args.out)
@@ -253,10 +250,10 @@ def _dispatch(args) -> int:
         stochastic.dump_paths(sim, args.out)
         print(args.out)
         return 0
-    workers = args.workers if args.workers is not None else _default_workers()
+    covered = sequences.Sequence.parse(args.covered).order
     if args.command == "valuate":
         val = valuate_sequence(sequences.Sequence.parse(args.sequence), sim,
-                               scen, covered=_zone_list(args.covered), j=args.j)
+                               scen, covered=covered, j=args.j)
         doc = {
             "config": cfg,
             "sequence": str(val.sequence),
@@ -269,14 +266,14 @@ def _dispatch(args) -> int:
         print(args.out)
         return 0
     if args.command == "cr":
-        res = policy.cr_policy(scen, sim, covered=_zone_list(args.covered),
-                               j=args.j, workers=workers)
+        res = policy.cr_policy(scen, sim, covered=covered, j=args.j,
+                               workers=args.workers)
         policy.report(res, args.out, config=cfg)
         print(args.out)
         return 0
     if args.command == "cr-rnn":
-        res = policy.cr_rnn_policy(scen, sim, covered=_zone_list(args.covered),
-                                   j=args.j, workers=workers, seed=args.seed,
+        res = policy.cr_rnn_policy(scen, sim, covered=covered, j=args.j,
+                                   workers=args.workers, seed=args.seed,
                                    **_rnn_kwargs(args))
         policy.report(res, args.out, config=cfg)
         if args.model_out and res.model is not None:

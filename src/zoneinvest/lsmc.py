@@ -135,6 +135,22 @@ def continuation_fit(states, targets, j: int = DEFAULT_BASIS_SIZE):
     return basis, fitted[0]
 
 
+def _exercise(payoffs, continuation, deferral, exercise, chained):
+    """Walk down the chain as if every earlier position exercised: h
+    exercises where its payoff plus h+1's walked value is at least
+    ``continuation[h]``, and walks on with that sum there and with
+    ``deferral[h]`` elsewhere (into ``chained[h]``).  A deferral at h blocks
+    every later position, so ``exercise[h]`` ends true only where positions
+    1..h all exercise."""
+    tail = 0.0
+    for h in range(len(payoffs) - 1, -1, -1):
+        now = payoffs[h] + tail
+        np.greater_equal(now, continuation[h], out=exercise[h])
+        tail = chained[h] = np.where(exercise[h], now, deferral[h])
+    for h in range(1, len(payoffs)):
+        exercise[h] &= exercise[h - 1]
+
+
 def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
                       covered=(), j: int = DEFAULT_BASIS_SIZE,
                       cache: RidershipCache | None = None
@@ -145,14 +161,20 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
     ``covered`` zones are already in service: they join every ridership
     region and shift each position's interzone cost.  Passing a shared
     ``cache`` reuses cumulative ridership across sequences with common
-    prefix sets; results are identical with or without it, and identical
-    to valuing each sequence on its own.  Working memory grows with
-    ``len(orders)``; value long lists in batches.
+    prefix sets; it must be built on these very ``scenario`` and ``paths``
+    and the same covered set.  Results are identical with or without it,
+    and identical to valuing each sequence on its own.  Working memory
+    grows with ``len(orders)``; value long lists in batches.
     """
     seqs = [o if isinstance(o, Sequence) else Sequence(tuple(o)) for o in orders]
     if not seqs:
         return []
     covered = frozenset(covered)
+    if cache is not None and (cache.scenario is not scenario
+                              or cache.paths is not paths
+                              or cache.covered != covered):
+        raise ValueError("cache was built for another scenario, paths or "
+                         "covered set than the one being valued")
     h_len = len(seqs[0])
     for seq in seqs:
         if len(seq) != h_len:
@@ -215,19 +237,10 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
                 states[n], waiting.reshape(-1, n_paths), j, key_of.ravel())
             phi = phi.reshape(shape)
             deficient += step_deficient
-        # Walk down the chain as if every earlier position exercised: h takes
-        # its payoff plus h+1's walked value where it exercises and its
-        # deferral value where it does not.
-        tail = 0.0
-        for h in range(h_len - 1, -1, -1):
-            immediate = states[n][key_of[h]] - thresholds[h] + tail
-            np.greater_equal(immediate, phi[h], out=exercise[h])
-            tail = chained[h] = np.where(exercise[h], immediate, waiting[h])
-        # A deferral at h blocks every later position at this step, so a path
-        # takes the walked value at h only where positions 1..h all exercise;
-        # elsewhere h keeps its next-step state.
-        for h in range(1, h_len):
-            exercise[h] &= exercise[h - 1]
+        _exercise(states[n][key_of] - thresholds[:, None, None], phi, waiting,
+                  exercise, chained)
+        # A path takes the walked value at h only where positions 1..h all
+        # exercise; elsewhere h keeps its next-step state.
         value = waiting
         np.copyto(value, chained, where=exercise)
         np.copyto(cash, chained, where=exercise)
@@ -241,16 +254,10 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
 
     # t0 invest/defer sweep: invest when today's payoff plus the next
     # option's t0 value beats waiting; a deferral defers the whole tail.
-    payoffs0 = state0[key_of] - thresholds[:, None]
     invest = np.empty((h_len, n_seq), dtype=bool)
     f0 = np.empty((h_len, n_seq))
-    tail = 0.0
-    for h in range(h_len - 1, -1, -1):
-        now = payoffs0[h] + tail
-        np.greater_equal(now, value_t0[h], out=invest[h])
-        tail = f0[h] = np.where(invest[h], now, value_t0[h])
-    for h in range(1, h_len):
-        invest[h] &= invest[h - 1]
+    _exercise(state0[key_of] - thresholds[:, None], value_t0, value_t0,
+              invest, f0)
     return [SequenceValuation(
         sequence=seq,
         policy_value=float(f0[0, s]),

@@ -243,8 +243,6 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
             raise ValueError("regressor training needs non-constant values")
         norm = (dataset.norm_mean, std)
         targets = (dataset.values - norm[0]) / norm[1]
-    else:
-        raise ValueError(f"unknown head kind {head_kind!r}")
 
     vocab = tuple(sorted({z for s in seqs for z in s}))
     rng = np.random.default_rng(seed)
@@ -341,15 +339,11 @@ def auc(score_values, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # A score's tie block fills sorted positions lo..hi-1: its average
+    # 1-based rank is (lo + 1 + hi) / 2.
+    ordered = np.sort(s)
+    ranks = 0.5 * (np.searchsorted(ordered, s, side="left")
+                   + np.searchsorted(ordered, s, side="right") + 1)
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -379,9 +373,8 @@ def load_model(path) -> LstmModel:
                          f"this version reads {CHECKPOINT_FORMAT!r}")
     d = int(doc["emb_size"])
     vocab = tuple(doc["vocab"])
-    shapes = {"emb": (len(vocab), d), "W_x": (4 * d, d), "W_h": (4 * d, d),
-              "b": (4 * d,), "W_ff": (d,), "b_ff": (1,)}
-    params = {name: np.array(doc["params"][name]).reshape(shapes[name])
+    template = init_model(vocab, d, doc["head_kind"]).params
+    params = {name: np.array(doc["params"][name]).reshape(template[name].shape)
               for name in PARAMS}
     return LstmModel(vocab=vocab, emb_size=d, head_kind=doc["head_kind"],
                      params=params, target_norm=tuple(doc["target_norm"]),

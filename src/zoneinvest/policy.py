@@ -11,6 +11,7 @@ back to plain CR, mirroring how the method is used in rolling-horizon runs.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,8 @@ from .labeling import LabeledDataset, label_dataset, label_with_cutoff
 # valuate_sequence is not called here; it stays bound as policy.valuate_sequence,
 # a name outside callers look up (e.g. to wrap it with a timer).
 from .lsmc import valuate_sequence, valuate_sequences  # noqa: F401
-from .neural import LstmModel, auc, gap_at_k, score_and_rank, scores, train
+from .neural import (CLASSIFIER, LstmModel, auc, gap_at_k, score_and_rank,
+                     scores, train)
 from .ridership import RidershipCache, cumulative_ridership, zone_payoff
 from .scenario import Scenario
 from .sequences import Sequence, enumerate_sequences, sample_sequences
@@ -66,38 +68,39 @@ _WORKER: dict = {}
 
 
 def _init_worker(scenario, paths, covered, j):
-    _WORKER["args"] = (scenario, paths, covered, j)
-    _WORKER["cache"] = RidershipCache(scenario, paths, covered)
+    _WORKER["args"] = (RidershipCache(scenario, paths, covered), j)
 
 
-def _value_batches(seqs, scenario, paths, covered, j, cache) -> list:
+def _value_batches(seqs, cache, j) -> list:
     # Only the t0 decisions ride along: stopping times would hold [H, P] per
     # ordering, and the decisions are all the winner needs.
     valued = []
     for i in range(0, len(seqs), BATCH_SIZE):
-        valued.extend((v.policy_value, v.decisions_t0) for v in valuate_sequences(
-            seqs[i:i + BATCH_SIZE], paths, scenario, covered, j, cache))
+        valued.extend((v.sequence, v.policy_value, v.decisions_t0)
+                      for v in valuate_sequences(
+                          seqs[i:i + BATCH_SIZE], cache.paths, cache.scenario,
+                          cache.covered, j, cache))
     return valued
 
 
-def _value_chunk(orders):
-    scenario, paths, covered, j = _WORKER["args"]
-    return _value_batches(orders, scenario, paths, covered, j, _WORKER["cache"])
+def _value_chunk(seqs):
+    return _value_batches(seqs, *_WORKER["args"])
 
 
-def _value_all(seqs, scenario, paths, covered, j, workers, cache) -> list:
-    """``(policy value, t0 decisions)`` for ``seqs``, in order; identical for
-    any worker count.
+def _value_all(seqs, cache, j, workers) -> list:
+    """``(sequence, policy value, t0 decisions)`` for ``seqs``, in order;
+    identical for any worker count.
 
-    ``cache`` serves the in-process path; each worker builds its own.
+    ``cache`` holds the valuation inputs and serves the in-process path;
+    each worker builds its own from those inputs.
     """
     if workers <= 1:
-        return _value_batches(seqs, scenario, paths, covered, j, cache)
-    orders = [tuple(s.order) for s in seqs]
-    chunk = max(1, len(orders) // (workers * 8))
-    chunks = [orders[i:i + chunk] for i in range(0, len(orders), chunk)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(scenario, paths, covered, j)) as pool:
+        return _value_batches(seqs, cache, j)
+    chunk = max(1, len(seqs) // (workers * 8))
+    chunks = [seqs[i:i + chunk] for i in range(0, len(seqs), chunk)]
+    with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker,
+            initargs=(cache.scenario, cache.paths, cache.covered, j)) as pool:
         out = []
         for part in pool.map(_value_chunk, chunks):
             out.extend(part)
@@ -117,20 +120,13 @@ def deterministic_npv(order, scenario: Scenario, covered=()) -> float:
     return npv
 
 
-def _argmax(seqs, valued):
-    """(sequence, value, decisions) with the highest value, ties to the first
-    zone order."""
-    best = min(range(len(seqs)), key=lambda i: (-valued[i][0], seqs[i].order))
-    return (seqs[best], *valued[best])
-
-
-def _table(seqs, valued):
-    return [(seq, value) for seq, (value, _) in zip(seqs, valued)]
-
-
-def _finish(mode, best, scenario, covered, tables, count, t_start,
-            degenerate=False, model=None, dataset=None):
-    best_seq, best_value, best_decisions = best
+def _finish(mode, tables, scenario, covered, t_start, dataset=None,
+            model=None):
+    """The result over every valued ``(sequence, value, decisions)`` row of
+    ``tables``: the highest value wins, ties to the first zone order."""
+    best_seq, best_value, best_decisions = min(
+        (row for rows in tables.values() for row in rows),
+        key=lambda row: (-row[1], row[0].order))
     npv = deterministic_npv(best_seq.order, scenario, covered)
     return PolicyResult(
         mode=mode,
@@ -139,11 +135,12 @@ def _finish(mode, best, scenario, covered, tables, count, t_start,
         decisions={z: d for z, d in zip(best_seq.order, best_decisions)},
         npv_deterministic=npv,
         option_premium=best_value - npv,
-        evaluated_count=count,
+        evaluated_count=sum(len(rows) for rows in tables.values()),
         wall_time=time.perf_counter() - t_start,
-        tables={name: tuple((str(s), v) for s, v in rows)
+        tables={name: tuple((str(s), v) for s, v, _ in rows)
                 for name, rows in tables.items()},
-        degenerate_labeling=degenerate,
+        degenerate_labeling=dataset is not None and (
+            dataset.forced_positive or dataset.degenerate_fit),
         model=model,
         dataset=dataset,
     )
@@ -159,31 +156,30 @@ def cr_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
         raise ValueError("no candidate zones outside the covered set")
     seqs = enumerate_sequences(candidates)
     cache = RidershipCache(scenario, paths, covered)
-    valued = _value_all(seqs, scenario, paths, covered, j, workers, cache)
-    tables = {"all": _table(seqs, valued)}
-    return _finish(CR, _argmax(seqs, valued), scenario, covered, tables,
-                   len(seqs), t0)
+    tables = {"all": _value_all(seqs, cache, j, workers)}
+    return _finish(CR, tables, scenario, covered, t0)
 
 
 def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
                   frac_seq: float, pnr_max: float, k: int,
                   thr_fact: float = 0.1, seed: int = 0, j: int = 3,
-                  workers: int = 1, emb_size: int = 50, lr: float = 1e-3,
-                  batch_size: int = 32, max_epochs: int = 300,
-                  patience: int = 20, validation_fraction: float = 0.2,
-                  small_h_threshold: int = SMALL_H_FALLBACK) -> PolicyResult:
+                  workers: int = 1, **train_options) -> PolicyResult:
     """Classifier-guided policy: sample, value, label, train, retrieve top-K,
     value those, argmax over the valued dictionary.
 
-    The master ``seed`` fans out into fixed sub-seeds for sampling and
-    training so each stage is reproducible in isolation.
+    ``train_options`` go to :func:`~zoneinvest.neural.train`, which owns
+    their defaults.  The master ``seed`` fans out into fixed sub-seeds for
+    sampling and training so each stage is reproducible in isolation.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    # Settings train would reject fail here too, also when it never runs.
+    inspect.signature(train).bind(None, seed=seed, head_kind=CLASSIFIER,
+                                  **train_options)
     t0 = time.perf_counter()
     covered = frozenset(covered)
     candidates = sorted(set(scenario.zones) - covered)
-    if len(candidates) <= small_h_threshold:
+    if len(candidates) <= SMALL_H_FALLBACK:
         return cr_policy(scenario, paths, covered, j=j, workers=workers)
 
     root = np.random.SeedSequence(seed)
@@ -191,35 +187,22 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
                                for s in root.spawn(2))
     sampled, remaining = sample_sequences(candidates, frac_seq, sample_seed)
     cache = RidershipCache(scenario, paths, covered)
-    sampled_valued = _value_all(sampled, scenario, paths, covered, j,
-                                workers, cache)
-    population = len(sampled) + len(remaining)
-    tables = {"sampled": _table(sampled, sampled_valued)}
-    dataset = label_dataset(tables["sampled"], population, thr_fact, pnr_max)
-    degenerate = dataset.forced_positive or dataset.degenerate_fit
-
+    tables = {"sampled": _value_all(sampled, cache, j, workers)}
+    dataset = label_dataset([(s, v) for s, v, _ in tables["sampled"]],
+                            len(sampled) + len(remaining), thr_fact, pnr_max)
     if not remaining:
-        return _finish(CR_RNN, _argmax(sampled, sampled_valued), scenario,
-                       covered, tables, len(sampled), t0, degenerate, None,
-                       dataset)
+        return _finish(CR_RNN, tables, scenario, covered, t0, dataset)
 
     try:
-        model, _ = train(dataset, emb_size=emb_size, lr=lr,
-                         batch_size=batch_size, max_epochs=max_epochs,
-                         seed=train_seed, patience=patience,
-                         validation_fraction=validation_fraction)
+        model, _ = train(dataset, seed=train_seed, head_kind=CLASSIFIER,
+                         **train_options)
     except Exception as exc:
         raise RuntimeError(
             f"CR-RNN classifier training failed on {len(sampled)} sampled "
             f"sequences: {exc}") from exc
     top = score_and_rank(model, remaining, min(k, len(remaining)))
-    top_seqs = [s for s, _ in top]
-    top_valued = _value_all(top_seqs, scenario, paths, covered, j, workers,
-                            cache)
-    tables["top_k"] = _table(top_seqs, top_valued)
-    best = _argmax(sampled + top_seqs, sampled_valued + top_valued)
-    return _finish(CR_RNN, best, scenario, covered, tables,
-                   len(sampled) + len(top_seqs), t0, degenerate, model, dataset)
+    tables["top_k"] = _value_all([s for s, _ in top], cache, j, workers)
+    return _finish(CR_RNN, tables, scenario, covered, t0, dataset, model)
 
 
 # -- retrieval evaluation ------------------------------------------------------

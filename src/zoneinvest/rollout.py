@@ -134,7 +134,7 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
 
     ``initial_covered`` zones are in service from the start (positions 1..).
     ``inner`` carries cr_rnn_policy keyword arguments (frac_seq, pnr_max, k,
-    thresholds...); each epoch re-seeds its inner simulation and policy from
+    thr_fact, training settings); each epoch re-seeds its inner simulation and policy from
     (seed, path, epoch) so runs are reproducible and epochs independent of
     path ordering.
     """

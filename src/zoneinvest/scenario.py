@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,16 +145,10 @@ class Scenario:
     def __eq__(self, other):
         if not isinstance(other, Scenario):
             return NotImplemented
-        return (self.zones == other.zones
-                and self.subzone_to_zone == other.subzone_to_zone
-                and np.array_equal(self.base_demand, other.base_demand)
-                and np.array_equal(self.trip_price, other.trip_price)
-                and np.array_equal(self.in_vehicle_time, other.in_vehicle_time)
-                and self.zone_volatility == other.zone_volatility
-                and all(getattr(self, f) == getattr(other, f) for f in (
-                    "value_of_time", "alpha_wait", "alpha_iv", "gamma",
-                    "speed", "within_zone_cost", "interzone_cost", "drift",
-                    "discount_rate", "horizon_steps")))
+        pairs = ((getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
 
 
 # -- file I/O ----------------------------------------------------------------

@@ -27,11 +27,13 @@ class DemandPaths:
 
     values: np.ndarray
     seed: int
-    n_paths: int
-    dt: float
 
     def __post_init__(self):
         self.values.flags.writeable = False
+
+    @property
+    def n_paths(self) -> int:
+        return self.values.shape[0]
 
     @property
     def n_steps(self) -> int:
@@ -68,8 +70,7 @@ def simulate_paths(scenario: Scenario, n_paths: int, seed: int) -> DemandPaths:
         z = _path_rng(seed, p).standard_normal((t, n, n))
         log_growth = np.cumsum(drift_term + vol_term * z, axis=0)
         out[p] = q0[None, :, :] * np.exp(log_growth)
-    return DemandPaths(values=out, seed=seed, n_paths=n_paths,
-                       dt=float(deltas[0]))
+    return DemandPaths(values=out, seed=seed)
 
 
 def dump_paths(paths: DemandPaths, file) -> None:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from zoneinvest import policy
 from zoneinvest.cli import main
 from zoneinvest.scenario import (generate_synthetic_scenario, load_scenario,
                                  save_scenario)
@@ -35,6 +36,21 @@ def test_no_subcommand_prints_usage_exit_2(capsys):
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["cr", "--does-not-exist"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["simulate"], ["--workers", "2"]),
+    (["simulate"], ["--j", "5"]),
+    (["valuate", "--sequence", "z01,z02,z03"], ["--workers", "2"]),
+])
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, scen3, command,
+                                                 flag):
+    argv = command + ["--scenario", str(scen3), "--paths", "3",
+                      "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
     assert exc.value.code == 2
 
 
@@ -103,13 +119,14 @@ def test_cr_byte_identical_reruns_and_worker_invariance(tmp_path, scen3):
     assert norm[0] == norm[1] == norm[2]
 
 
-def test_cr_rnn_pipeline_and_artifacts(tmp_path, scen3):
+def test_cr_rnn_pipeline_and_artifacts(tmp_path, scen3, monkeypatch):
+    monkeypatch.setattr(policy, "SMALL_H_FALLBACK", 2)
     out = tmp_path / "rnn.json"
     model_out = tmp_path / "model.json"
     labeled_out = tmp_path / "labeled.csv"
     assert main(["cr-rnn", "--scenario", str(scen3), "--paths", "50",
                  "--seed", "5", "--frac-seq", "0.5", "--pnr-max", "0.5",
-                 "--k", "2", "--max-epochs", "15", "--small-h-threshold", "2",
+                 "--k", "2", "--max-epochs", "15",
                  "--model-out", str(model_out), "--labeled-out",
                  str(labeled_out), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -222,7 +239,7 @@ def _nested_run(command, inputs, out):
     if command == "cr-rnn":
         return (["cr-rnn", *scen, "--paths", "20", "--frac-seq", "0.5",
                  "--pnr-max", "0.5", "--k", "2", "--max-epochs", "2",
-                 "--small-h-threshold", "2", "--out", str(out / "a" / "r.json"),
+                 "--out", str(out / "a" / "r.json"),
                  "--model-out", str(out / "b" / "m.json"),
                  "--labeled-out", str(out / "c" / "l.csv")],
                 ["a/r.json", "a/r.csv", "b/m.json", "c/l.csv", "c/l.json"])
@@ -249,7 +266,8 @@ def _nested_run(command, inputs, out):
                                      "cr", "cr-rnn", "label", "train",
                                      "evaluate", "rollout"])
 def test_outputs_create_missing_parent_directories(tmp_path, chain_inputs,
-                                                   command):
+                                                   command, monkeypatch):
+    monkeypatch.setattr(policy, "SMALL_H_FALLBACK", 2)  # cr-rnn trains
     out = tmp_path / "not" / "yet"
     argv, files = _nested_run(command, chain_inputs, out)
     assert main(argv) == 0

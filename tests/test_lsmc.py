@@ -214,6 +214,22 @@ class TestValuationStructure:
             valuate_sequence(Sequence(scen.zones), paths, scen,
                              covered=(scen.zones[0],))
 
+    @pytest.mark.parametrize("mismatch", ["covered", "paths", "scenario"])
+    def test_mismatched_cache_rejected(self, setup, mismatch):
+        scen, paths, _ = setup
+        covered = (scen.zones[0],)
+        if mismatch == "covered":
+            cache = RidershipCache(scen, paths)
+        elif mismatch == "paths":
+            cache = RidershipCache(scen, simulate_paths(scen, 200, seed=7),
+                                   covered)
+        else:
+            other = generate_synthetic_scenario(5, 3, 2, 80.0)
+            cache = RidershipCache(other, paths, covered)
+        with pytest.raises(ValueError, match="cache"):
+            valuate_sequence(Sequence(scen.zones[1:]), paths, scen,
+                             covered=covered, cache=cache)
+
     def test_value_at_least_own_t0_exercise(self, setup):
         scen, paths, val = setup
         from zoneinvest.policy import deterministic_npv

@@ -37,8 +37,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 def doubled(paths):
     """``paths`` with every path taken twice: states then take at most as
     many distinct values as there were paths."""
-    return DemandPaths(np.concatenate([paths.values, paths.values]),
-                       paths.seed, 2 * paths.n_paths, paths.dt)
+    return DemandPaths(np.concatenate([paths.values, paths.values]), paths.seed)
 
 
 @st.composite

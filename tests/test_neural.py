@@ -349,6 +349,18 @@ class TestMetrics:
         y = rng.integers(0, 2, size=20_000)
         assert auc(s, y) == pytest.approx(0.5, abs=0.02)
 
+    def test_auc_matches_pair_count_with_ties(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            s = rng.integers(0, 4, size=n).astype(float)
+            y = rng.integers(0, 2, size=n)
+            if y.min() == y.max():
+                continue
+            pos, neg = s[y == 1, None], s[y == 0]
+            pairs = (pos > neg).sum() + 0.5 * (pos == neg).sum()
+            assert auc(s, y) == pairs / (len(pos) * len(neg))
+
     def test_auc_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 1])
@@ -380,6 +392,17 @@ def test_per_gate_checkpoint_rejected_naming_both_formats(tmp_path):
     with pytest.raises(ValueError, match="zoneinvest-lstm-v1") as err:
         load_model(tmp_path / "v1.json")
     assert "zoneinvest-lstm-v2" in str(err.value)
+
+
+def test_unknown_head_kind_checkpoint_rejected(tmp_path):
+    ds = separable_dataset()
+    model, _ = train(ds, emb_size=4, batch_size=8, max_epochs=1, seed=11)
+    save_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["head_kind"] = "softmax-classifier"
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="head kind"):
+        load_model(tmp_path / "bad.json")
 
 
 def test_unsupported_checkpoint_rejected(tmp_path):

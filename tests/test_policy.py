@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from zoneinvest.lsmc import valuate_sequence
-from zoneinvest.policy import (CR, CR_RNN, _argmax, cr_policy, cr_rnn_policy,
+from zoneinvest import policy
+from zoneinvest.policy import (CR, CR_RNN, _finish, cr_policy, cr_rnn_policy,
                                deterministic_npv, evaluate_retrieval,
                                load_report, report)
 from zoneinvest.ridership import payoff_threshold
@@ -25,10 +26,18 @@ def small():
 
 
 def test_argmax_breaks_ties_lexicographically():
+    scen = make_scenario([[10.0, 1.0], [1.0, 10.0]], {"a1": "a", "b1": "b"},
+                         {"a": 0.2, "b": 0.2})
     a, b = Sequence(("a", "b")), Sequence(("b", "a"))
     defer, invest = ("defer", "defer"), ("invest", "defer")
-    assert _argmax([b, a], [(1.0, defer), (1.0, invest)]) == (a, 1.0, invest)
-    assert _argmax([b, a], [(2.0, defer), (1.0, invest)]) == (b, 2.0, defer)
+
+    def best(rows):
+        res = _finish(CR, {"all": rows}, scen, frozenset(), 0.0)
+        return (res.best_sequence, res.best_value,
+                tuple(res.decisions[z] for z in res.best_sequence.order))
+
+    assert best([(b, 1.0, defer), (a, 1.0, invest)]) == (a, 1.0, invest)
+    assert best([(b, 2.0, defer), (a, 1.0, invest)]) == (b, 2.0, defer)
 
 
 def test_single_zone_policy_reduces_to_exercise_test():
@@ -99,16 +108,24 @@ def test_small_candidate_sets_fall_back_to_cr(small):
     assert rnn == cr_policy(scen, paths)
 
 
-def test_full_sample_reproduces_cr_argmax(small):
+def test_full_sample_reproduces_cr_argmax(small, monkeypatch):
+    monkeypatch.setattr(policy, "SMALL_H_FALLBACK", 2)
     scen, paths = small
-    rnn = cr_rnn_policy(scen, paths, frac_seq=1.0, pnr_max=0.05, k=2, seed=0,
-                        small_h_threshold=2)
+    rnn = cr_rnn_policy(scen, paths, frac_seq=1.0, pnr_max=0.05, k=2, seed=0)
     cr = cr_policy(scen, paths)
     assert rnn.mode == CR_RNN
     assert rnn.best_sequence == cr.best_sequence
     assert rnn.best_value == cr.best_value
     assert rnn.evaluated_count == 6
     assert "top_k" not in rnn.tables
+
+
+@pytest.mark.parametrize("option", [{"head_kind": "relu-regressor"},
+                                    {"max_epoch": 5}])
+def test_cr_rnn_rejects_settings_train_would_reject(small, option):
+    scen, paths = small  # small enough to fall back to CR without training
+    with pytest.raises(TypeError):
+        cr_rnn_policy(scen, paths, frac_seq=0.5, pnr_max=0.05, k=2, **option)
 
 
 @pytest.fixture(scope="module")
@@ -148,12 +165,12 @@ class TestCrRnnPipeline:
         assert again == res
 
 
-def test_evaluate_retrieval_reports_gap_and_auc(small):
+def test_evaluate_retrieval_reports_gap_and_auc(small, monkeypatch):
+    monkeypatch.setattr(policy, "SMALL_H_FALLBACK", 2)
     scen, paths = small
     res = cr_policy(scen, paths)
     table = {Sequence.parse(s).order: v for s, v in res.tables["all"]}
-    rnn = cr_rnn_policy(scen, paths, frac_seq=0.5, pnr_max=0.5, k=2, seed=0,
-                        small_h_threshold=2)
+    rnn = cr_rnn_policy(scen, paths, frac_seq=0.5, pnr_max=0.5, k=2, seed=0)
     train_orders = [s.order for s in rnn.dataset.sequences]
     metrics = evaluate_retrieval(rnn.model, table, train_orders, k=2,
                                  eta_bin=rnn.dataset.eta_bin)
