@@ -229,17 +229,14 @@ def _dispatch(args) -> int:
         kind = {"cr": policy.CR, "cr-rnn": policy.CR_RNN,
                 "invest-all": rollout.INVEST_ALL}[args.policy]
         covered = sequences.Sequence.parse(args.covered).order
-        res = rollout.run_rollout(
-            scen, n_paths=args.outer_paths, n_epochs=args.epochs,
-            seed=args.seed, policy_kind=kind,
-            initial_covered=covered, inner_paths=args.inner_paths,
-            inner=_rnn_kwargs(args), workers=args.workers)
+        shared = dict(n_paths=args.outer_paths, n_epochs=args.epochs,
+                      seed=args.seed, initial_covered=covered,
+                      inner_paths=args.inner_paths, workers=args.workers)
+        res = rollout.run_rollout(scen, policy_kind=kind,
+                                  inner=_rnn_kwargs(args), **shared)
         if args.benchmark:
             bench = rollout.run_rollout(
-                scen, n_paths=args.outer_paths, n_epochs=args.epochs,
-                seed=args.seed, policy_kind=rollout.INVEST_ALL,
-                initial_covered=covered, inner_paths=args.inner_paths,
-                workers=args.workers)
+                scen, policy_kind=rollout.INVEST_ALL, **shared)
             res = rollout.compare_rollouts(res, bench)
         rollout.rollout_report(res, args.out, config=cfg)
         print(args.out)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._chunks import chunk_slices
 from ._report import write_report
 from .labeling import LabeledDataset
 
@@ -30,6 +31,11 @@ CHECKPOINT_FORMAT = "zoneinvest-lstm-v2"
 # Parameter order of checkpoints and of the flat vector Adam updates.  The
 # gate blocks of W_x, W_h and b are stacked in the order f, i, o, c.
 PARAMS = ("emb", "W_x", "W_h", "b", "W_ff", "b_ff")
+
+# Rows per LSTM pass in forward scoring.  A pass holds [rows, 4d] gate
+# arrays, so scoring n rows holds one chunk's gates plus the [n, d] final
+# states instead of [n, 4d] gates.
+SCORE_CHUNK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -117,11 +123,23 @@ def _steps(params, idx):
         yield a, c, tc, h
 
 
+def _final_hidden(params, idx):
+    """Final hidden states [B, d], keeping only the current step's state of
+    one ``SCORE_CHUNK``-row chunk at a time.  A chunk is never a single row
+    unless B is 1: that row's ``h @ W_h`` would take BLAS's matrix-vector
+    path and round differently."""
+    final = np.empty((len(idx), params["emb"].shape[1]))
+    for rows in chunk_slices(len(idx), SCORE_CHUNK):
+        for _, _, _, h in _steps(params, idx[rows]):
+            pass
+        final[rows] = h
+    return final
+
+
 def _logits(params, idx):
-    """Head logits [B], keeping only the current step's state."""
-    for _, _, _, h in _steps(params, idx):
-        pass
-    return h @ params["W_ff"] + params["b_ff"][0]
+    """Head logits [B].  The head runs once over all rows, not per chunk,
+    because its matrix-vector product blocks rows by batch size."""
+    return _final_hidden(params, idx) @ params["W_ff"] + params["b_ff"][0]
 
 
 def _loss(logits, targets, head_kind):
@@ -196,11 +214,14 @@ def forward(model: LstmModel, seq) -> float:
 def scores(model: LstmModel, candidates) -> np.ndarray:
     """Vectorized :func:`forward` over same-length sequences.
 
-    A candidate's score agrees across batch splits only to ~1e-12, not bit
-    for bit: BLAS takes a matrix-vector path for a single row and blocks the
-    head's matrix-vector product by batch size.  :func:`score_and_rank`
-    scores all its candidates in one call, so policy outputs are
-    reproducible.
+    The LSTM runs over chunks of ``SCORE_CHUNK`` rows and keeps only each
+    row's final hidden state, so gate arrays do not grow with
+    ``len(candidates)``; the result is bit for bit that of one unchunked
+    pass.  A candidate's score agrees across separate calls only to
+    ~1e-12, not bit for bit: BLAS takes a matrix-vector path for a single
+    row and blocks the head's matrix-vector product by batch size.
+    :func:`score_and_rank` scores all its candidates in one call, so policy
+    outputs are reproducible.
     """
     logits = _logits(model.params, model.zone_indices(candidates))
     if model.head_kind == CLASSIFIER:

@@ -92,19 +92,24 @@ def _value_all(seqs, cache, j, workers) -> list:
     identical for any worker count.
 
     ``cache`` holds the valuation inputs and serves the in-process path;
-    each worker builds its own from those inputs.
+    each worker builds its own from those inputs.  Orderings are valued in
+    zone order, so a batch's neighbours share (prefix set, zone) designs,
+    and mapped back; a value does not depend on its batch.
     """
+    ordered = sorted(seqs, key=lambda s: s.order)
     if workers <= 1:
-        return _value_batches(seqs, cache, j)
-    chunk = max(1, len(seqs) // (workers * 8))
-    chunks = [seqs[i:i + chunk] for i in range(0, len(seqs), chunk)]
-    with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker,
-            initargs=(cache.scenario, cache.paths, cache.covered, j)) as pool:
-        out = []
-        for part in pool.map(_value_chunk, chunks):
-            out.extend(part)
-    return out
+        valued = _value_batches(ordered, cache, j)
+    else:
+        chunk = max(1, len(ordered) // (workers * 8))
+        chunks = [ordered[i:i + chunk] for i in range(0, len(ordered), chunk)]
+        with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(cache.scenario, cache.paths, cache.covered,
+                          j)) as pool:
+            valued = [row for part in pool.map(_value_chunk, chunks)
+                      for row in part]
+    row_of = {row[0]: row for row in valued}
+    return [row_of[s] for s in seqs]
 
 
 def deterministic_npv(order, scenario: Scenario, covered=()) -> float:

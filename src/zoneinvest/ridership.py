@@ -21,10 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._chunks import chunk_slices
 from .scenario import Scenario
 
 WAIT_TOL = 0.001      # minutes, convergence tolerance on TW
 MAX_ITERATIONS = 1000
+
+# Demand matrices per region gather in _region_totals: a chunk's gathered
+# sub-matrices and their product are the largest arrays a cache miss holds.
+REGION_CHUNK = 256
 
 
 class ConvergenceError(RuntimeError):
@@ -159,7 +164,9 @@ def cumulative_ridership(zone_set, demand: np.ndarray, scenario: Scenario,
 def _region_totals(zone_set, demand: np.ndarray, scenario: Scenario,
                    covered) -> np.ndarray:
     """:func:`cumulative_ridership` as an array, without the demand check:
-    callers pass demand they have checked to be >= 0."""
+    callers pass demand they have checked to be >= 0.  The region is
+    gathered ``REGION_CHUNK`` matrices at a time, so the working set does
+    not grow with the stack."""
     zone_set = frozenset(zone_set)
     covered = frozenset(covered)
     overlap = zone_set & covered
@@ -169,10 +176,18 @@ def _region_totals(zone_set, demand: np.ndarray, scenario: Scenario,
     if not region:
         return np.zeros(demand.shape[:-2])
     idx = scenario.subzone_indices(region)
-    sub = demand[..., idx[:, None], idx[None, :]]
-    attracted = (sub * _cost_factor(scenario, idx)).sum(axis=(-2, -1))
-    _, totals, _, _ = _iterate_wait(attracted.ravel(),
-                                    sub.sum(axis=(-2, -1)).ravel(), scenario)
+    factor = _cost_factor(scenario, idx)
+    # A gather from two or more matrices puts the k x k axes outermost in
+    # memory, so each matrix's terms are summed one after another; a lone
+    # matrix is contiguous and summed pairwise.  Chunks of two or more
+    # matrices therefore sum exactly as one gather of the whole stack does.
+    stack = demand.reshape(-1, *demand.shape[-2:])
+    attracted, raw = np.empty(len(stack)), np.empty(len(stack))
+    for part in chunk_slices(len(stack), REGION_CHUNK):
+        sub = stack[part, idx[:, None], idx[None, :]]
+        attracted[part] = (sub * factor).sum(axis=(-2, -1))
+        raw[part] = sub.sum(axis=(-2, -1))
+    _, totals, _, _ = _iterate_wait(attracted, raw, scenario)
     return totals.reshape(demand.shape[:-2])
 
 

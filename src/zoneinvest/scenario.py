@@ -37,6 +37,8 @@ DEFAULTS = {
 
 VOLATILITY_CHOICES = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
 
+_MATRIX_FIELDS = ("base_demand", "trip_price", "in_vehicle_time")
+
 
 class ScenarioError(ValueError):
     """Malformed scenario config or violated scenario invariant."""
@@ -68,7 +70,7 @@ class Scenario:
     horizon_steps: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("base_demand", "trip_price", "in_vehicle_time"):
+        for name in _MATRIX_FIELDS:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -118,7 +120,7 @@ class Scenario:
         empty = set(self.zones) - mapped
         if empty:
             raise ScenarioError(f"zones without sub-zones: {sorted(empty)}")
-        for name in ("base_demand", "trip_price", "in_vehicle_time"):
+        for name in _MATRIX_FIELDS:
             arr = getattr(self, name)
             if arr.shape != (n, n):
                 raise ScenarioError(
@@ -153,7 +155,6 @@ class Scenario:
 
 # -- file I/O ----------------------------------------------------------------
 
-_MATRIX_FIELDS = ("base_demand", "trip_price", "in_vehicle_time")
 _SCALAR_FIELDS = ("value_of_time", "alpha_wait", "alpha_iv", "gamma", "speed",
                   "drift", "discount_rate")
 

@@ -64,12 +64,16 @@ def simulate_paths(scenario: Scenario, n_paths: int, seed: int) -> DemandPaths:
     drift_term = (mu - 0.5 * sigma[None, :, :] ** 2) * deltas[:, None, None]
     vol_term = sigma[None, :, :] * np.sqrt(deltas)[:, None, None]
 
+    # Each path's normals go straight into its slot; the log-scheme then
+    # runs in place over the whole tensor.
     out = np.empty((n_paths, t, n, n))
-    q0 = scenario.base_demand
     for p in range(n_paths):
-        z = _path_rng(seed, p).standard_normal((t, n, n))
-        log_growth = np.cumsum(drift_term + vol_term * z, axis=0)
-        out[p] = q0[None, :, :] * np.exp(log_growth)
+        _path_rng(seed, p).standard_normal(out=out[p])
+    out *= vol_term
+    out += drift_term
+    np.cumsum(out, axis=1, out=out)
+    np.exp(out, out=out)
+    out *= scenario.base_demand
     return DemandPaths(values=out, seed=seed)
 
 

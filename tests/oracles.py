@@ -7,7 +7,9 @@ free of the library's own solver code paths.  The one exception is
 ridership cache and regression fit so that it pins down the batched
 recursion alone.  ``per_gate_loss_and_gradients`` is the LSTM's first
 form, one weight pair per gate and one matmul per gate and step, kept as the
-reference for the fused-gate kernel.
+reference for the fused-gate kernel.  ``gathered_region_totals`` and
+``per_path_gbm`` are the unchunked region sum and the per-path simulation
+loop, kept as bit-for-bit references for their bounded-memory forms.
 """
 
 import itertools
@@ -330,3 +332,35 @@ def per_gate_loss_and_gradients(params, idx, targets, head_kind):
             + da_o @ params["W_od"] + da_c @ params["W_dd"]
         grad_c = grad_c * f
     return loss, grads
+
+
+def gathered_region_totals(zone_set, demand, scenario, covered=()):
+    """Equilibrium totals of the region ``zone_set | covered`` for every
+    matrix of ``demand`` (2-D or ``[..., N, N]``), from one gather of the
+    whole stack; reuses the library's cost factor and wait recursion."""
+    from zoneinvest.ridership import _cost_factor, _iterate_wait
+
+    idx = scenario.subzone_indices(frozenset(zone_set) | frozenset(covered))
+    sub = demand[..., idx[:, None], idx[None, :]]
+    attracted = (sub * _cost_factor(scenario, idx)).sum(axis=(-2, -1))
+    _, totals, _, _ = _iterate_wait(attracted.ravel(),
+                                    sub.sum(axis=(-2, -1)).ravel(), scenario)
+    return totals.reshape(demand.shape[:-2])
+
+
+def per_path_gbm(scenario, n_paths, seed):
+    """GBM demand paths built one path at a time from each path's own
+    generator (the library's counter-derived seeding)."""
+    from zoneinvest.stochastic import _path_rng
+
+    sigma = scenario.sigma_by_origin()
+    n = scenario.n_subzones
+    deltas = np.diff(np.concatenate(([0.0], scenario.horizon_steps)))
+    drift = (scenario.drift - 0.5 * sigma[None] ** 2) * deltas[:, None, None]
+    vol = sigma[None] * np.sqrt(deltas)[:, None, None]
+    out = np.empty((n_paths, len(deltas), n, n))
+    for p in range(n_paths):
+        z = _path_rng(seed, p).standard_normal((len(deltas), n, n))
+        out[p] = scenario.base_demand[None] * np.exp(
+            np.cumsum(drift + vol * z, axis=0))
+    return out

@@ -1,16 +1,19 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from zoneinvest import neural
 from zoneinvest.labeling import LabeledDataset
-from zoneinvest.neural import (CLASSIFIER, REGRESSOR, DivergenceError, _logits,
-                               auc, forward, gap_at_k, init_model, load_model,
+from zoneinvest.neural import (CLASSIFIER, REGRESSOR, DivergenceError,
+                               _final_hidden, _logits, _steps, auc, forward,
+                               gap_at_k, init_model, load_model,
                                loss_and_gradients, save_model, score_and_rank,
                                scores, train)
-from zoneinvest.sequences import Sequence, enumerate_sequences
+from zoneinvest.sequences import Sequence, enumerate_sequences, sample_sequences
 
 from oracles import (PER_GATE_BIAS, PER_GATE_INPUT, PER_GATE_RECURRENT,
                      finite_difference_grads, per_gate_forward,
@@ -215,6 +218,29 @@ class TestFusedAgainstPerGate:
         # its matrix-vector kernel blocks rows by batch size.
         assert_rel_close(split, scores(model, cands), "split scores")
 
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2 ** 16),
+           st.sampled_from([2, 3]), st.data())
+    def test_chunked_scores_equal_one_pass(self, h_len, d, seed, chunk, data):
+        vocab = tuple("abcdef")
+        model = init_model(vocab, d, data.draw(
+            st.sampled_from([CLASSIFIER, REGRESSOR])), seed=seed)
+        rng = np.random.default_rng(seed)
+        cands = [Sequence(tuple(rng.permutation(vocab)[:h_len]))
+                 for _ in range(data.draw(st.integers(1, 41)))]
+        idx = model.zone_indices(cands)
+        for *_, hidden in _steps(model.params, idx):
+            pass
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "SCORE_CHUNK", len(cands) + 1)
+            one_pass = scores(model, cands)
+            mp.setattr(neural, "SCORE_CHUNK", chunk)
+            chunked = scores(model, cands)
+            # Scores can hide a last-bit change in a hidden state; compare
+            # the states too.
+            assert np.array_equal(_final_hidden(model.params, idx), hidden)
+        assert np.array_equal(chunked, one_pass)
+
 
 def separable_dataset():
     seqs = enumerate_sequences(tuple("abcde"))[::6][:20]
@@ -320,6 +346,21 @@ class TestRanking:
         model = init_model(tuple("ab"), 4, CLASSIFIER, seed=7)
         with pytest.raises(ValueError):
             score_and_rank(model, enumerate_sequences(("a", "b")), k=3)
+
+
+def test_scoring_memory_is_bounded(synth7):
+    """Ranking cr_rnn_h7's 4738 unsampled orderings at d = 50 holds chunks of
+    gate arrays, not [4738, 200] ones (one unchunked pass peaked at 25.0 MB)."""
+    model = init_model(synth7.zones, 50)
+    _, remaining = sample_sequences(synth7.zones, 0.06, 0)
+    assert len(remaining) == 4738
+    tracemalloc.start()
+    try:
+        scores(model, remaining)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 class TestMetrics:

@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from zoneinvest.lsmc import valuate_sequence
+from zoneinvest.lsmc import valuate_sequence, valuate_sequences
 from zoneinvest import policy
 from zoneinvest.policy import (CR, CR_RNN, _finish, cr_policy, cr_rnn_policy,
                                deterministic_npv, evaluate_retrieval,
                                load_report, report)
-from zoneinvest.ridership import payoff_threshold
+from zoneinvest.ridership import RidershipCache, payoff_threshold
 from zoneinvest.scenario import generate_synthetic_scenario
-from zoneinvest.sequences import Sequence
+from zoneinvest.sequences import Sequence, enumerate_sequences
 from zoneinvest.stochastic import simulate_paths
 
 from conftest import make_scenario
@@ -92,6 +92,26 @@ def test_workers_do_not_change_results(small):
     seq_values = cr_policy(scen, paths, workers=2).tables["all"]
     base = cr_policy(scen, paths, workers=1).tables["all"]
     assert seq_values == base
+
+
+def test_orderings_valued_in_zone_order_returned_in_input_order(
+        small, monkeypatch):
+    scen, paths = small
+    monkeypatch.setattr(policy, "BATCH_SIZE", 2)
+    batches = []
+
+    def recording(batch, *args):
+        batches.append([s.order for s in batch])
+        return valuate_sequences(batch, *args)
+
+    monkeypatch.setattr(policy, "valuate_sequences", recording)
+    seqs = enumerate_sequences(scen.zones)
+    shuffled = [seqs[i] for i in (4, 1, 5, 0, 3, 2)]
+    rows = policy._value_all(shuffled, RidershipCache(scen, paths), 3, 1)
+    assert batches == [[s.order for s in seqs[i:i + 2]] for i in (0, 2, 4)]
+    assert [s for s, _, _ in rows] == shuffled
+    values = dict(cr_policy(scen, paths).tables["all"])
+    assert [v for _, v, _ in rows] == [values[str(s)] for s in shuffled]
 
 
 def test_decisions_consistent_with_best_valuation(small):

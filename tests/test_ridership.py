@@ -1,15 +1,24 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from zoneinvest import ridership
+from zoneinvest._chunks import chunk_slices
 from zoneinvest.ridership import (ConvergenceError, RidershipCache,
                                   cumulative_ridership, equilibrium_ridership,
                                   payoff_threshold, zone_payoff)
 from zoneinvest.stochastic import simulate_paths
 
 from conftest import make_scenario, single_od_scenario
-from oracles import bisect_ridership_root
+from oracles import bisect_ridership_root, gathered_region_totals
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def test_all_zero_demand_is_the_zero_fixed_point(two_zone):
@@ -197,3 +206,75 @@ class TestStacked:
         bad[3, 2, 2, 3] = -1.0  # outside zone A, so only a full check sees it
         with pytest.raises(ValueError, match=">= 0"):
             RidershipCache(two_zone, replace(paths, values=bad))
+
+
+@PROPERTY
+@given(st.integers(0, 40), st.integers(2, 9))
+def test_chunk_slices_cover_in_order_without_single_tail(n, size):
+    parts = chunk_slices(n, size)
+    assert [i for part in parts for i in range(n)[part]] == list(range(n))
+    lengths = [part.stop - part.start for part in parts]
+    assert all(2 <= k <= size + 1 for k in lengths) or lengths == [1]
+    assert all(k == size for k in lengths[:-1])
+
+
+class TestChunkedRegion:
+    """The region gather runs over ``REGION_CHUNK`` matrices at a time and
+    gives the totals of one gather of the whole stack, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, synth7):
+        return simulate_paths(synth7, 7, seed=3).values  # [7, 5, 21, 21]
+
+    @pytest.mark.parametrize("chunk,count", [(2, 1), (2, 2), (2, 3), (2, 6),
+                                             (3, 2), (3, 4), (3, 9), (3, 10)])
+    def test_stack_of_count_matrices(self, synth7, stack, monkeypatch, chunk,
+                                     count):
+        monkeypatch.setattr(ridership, "REGION_CHUNK", chunk)
+        demand = stack.reshape(-1, *stack.shape[-2:])[:count]
+        for zones, covered in [(synth7.zones, ()),
+                               (synth7.zones[:3], synth7.zones[4:6])]:
+            got = cumulative_ridership(zones, demand, synth7, covered)
+            want = gathered_region_totals(zones, demand, synth7, covered)
+            assert got.shape == (count,)
+            assert np.array_equal(got, want)
+
+    def test_single_matrix(self, synth7, stack, monkeypatch):
+        monkeypatch.setattr(ridership, "REGION_CHUNK", 2)
+        for demand in (synth7.base_demand, stack[4, 2]):
+            got = cumulative_ridership(synth7.zones[1:5], demand, synth7,
+                                       synth7.zones[:1])
+            assert got == gathered_region_totals(
+                synth7.zones[1:5], demand, synth7, synth7.zones[:1])
+
+    @PROPERTY
+    @given(st.integers(1, 7), st.integers(1, 5), st.booleans(),
+           st.sampled_from([2, 3, 5]), st.data())
+    def test_any_stack_order_and_region(self, synth7, stack, n_paths,
+                                        n_steps, steps_first, chunk, data):
+        demand = stack[:n_paths, :n_steps]
+        if steps_first:  # [T, P] order, as the cache's tables are laid out
+            demand = demand.transpose(1, 0, 2, 3)
+        zones = data.draw(st.lists(st.sampled_from(synth7.zones), min_size=1,
+                                   unique=True))
+        rest = [z for z in synth7.zones if z not in zones]
+        covered = data.draw(st.lists(st.sampled_from(rest), unique=True)
+                            if rest else st.just([]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ridership, "REGION_CHUNK", chunk)
+            got = cumulative_ridership(zones, demand, synth7, covered)
+        assert np.array_equal(
+            got, gathered_region_totals(zones, demand, synth7, covered))
+
+
+def test_cache_fill_memory_is_bounded(synth7):
+    """A full-region miss at H = 7, P = 300 holds chunks of the gathered
+    [P, T, k, k] stack, not all of it (one whole gather peaked at 10.7 MB)."""
+    cache = RidershipCache(synth7, simulate_paths(synth7, 300, seed=11))
+    tracemalloc.start()
+    try:
+        cache.cumulative(synth7.zones)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.stochastic import dump_paths, load_paths, simulate_paths
 
 from conftest import make_scenario, single_od_scenario
+from oracles import per_path_gbm
 
 
 def test_zero_volatility_zero_drift_is_constant():
@@ -71,6 +75,14 @@ def test_values_nonnegative_and_deterministic(two_zone):
     b = simulate_paths(two_zone, 25, seed=4)
     assert np.array_equal(a.values, b.values)
     assert np.all(a.values >= 0.0)
+
+
+@pytest.mark.parametrize("n_zones,drift", [(5, 0.0), (7, 0.0), (7, 0.03)])
+def test_stacked_pass_equals_per_path_loop(n_zones, drift):
+    scen = replace(generate_synthetic_scenario(n_zones, n_zones, 3, 100.0),
+                   drift=drift)
+    assert np.array_equal(simulate_paths(scen, 40, seed=7).values,
+                          per_path_gbm(scen, 40, 7))
 
 
 def test_n_paths_validated(two_zone):
