@@ -22,7 +22,7 @@ cache = RidershipCache(scen, paths)
 
 sampled, remaining = sample_sequences(scen.zones, fraction=0.15, seed=1)
 vals = [(v.sequence, v.policy_value)
-        for v in valuate_sequences(sampled, paths, scen, cache=cache)]
+        for v in valuate_sequences(sampled, cache)]
 print(f"valued a {len(sampled)}-sequence sample out of {720}")
 
 ds = label_dataset(vals, population_size=720, thr_fact=0.1, pnr_max=0.05)
@@ -36,7 +36,7 @@ print(f"trained {history[-1][0]} epochs, "
 
 # ground-truth the unseen pool to measure retrieval quality
 truth = {v.sequence.order: v.policy_value
-         for v in valuate_sequences(remaining, paths, scen, cache=cache)}
+         for v in valuate_sequences(remaining, cache)}
 test_labels = label_with_cutoff(np.array([truth[s.order] for s in remaining]),
                                 ds.eta_bin)
 test_auc = auc(scores(model, remaining), test_labels)

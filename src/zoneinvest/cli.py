@@ -258,6 +258,7 @@ def _dispatch(args) -> int:
             "decisions_t0": list(val.decisions_t0),
             "per_zone_value_t0": val.per_zone_value_t0.tolist(),
             "stopping_times": val.stopping_times.tolist(),
+            "rank_deficient_fits": val.rank_deficient_fits,
         }
         write_report(args.out, doc)
         print(args.out)

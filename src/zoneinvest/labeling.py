@@ -63,21 +63,18 @@ def _shape_residual(k: float, y: np.ndarray, log_y: np.ndarray, mean_log: float)
     return g, dg
 
 
-def fit_weibull(values, shift: float = 0.0) -> tuple[float, float]:
+def fit_weibull(values) -> tuple[float, float]:
     """Maximum-likelihood (shape, scale) of a two-parameter Weibull.
 
-    Values must be strictly positive and not all equal; data with a known
-    location offset can be fitted by passing ``shift``, which is subtracted
-    first.  The shape equation is solved by Newton iterations safeguarded by
-    bisection, to a residual below 1e-10.
+    Values must be strictly positive and not all equal.  The shape equation
+    is solved by Newton iterations safeguarded by bisection, to a residual
+    below 1e-10.
     """
-    x = np.asarray(values, dtype=float) - shift
+    x = np.asarray(values, dtype=float)
     if x.size < MIN_FIT_SAMPLE:
         raise ValueError(f"need at least {MIN_FIT_SAMPLE} values, got {x.size}")
     if np.any(x <= 0):
-        raise ValueError(
-            "values must be strictly positive (pass shift= to fit "
-            "location-shifted data)")
+        raise ValueError("values must be strictly positive")
     if np.all(x == x[0]):
         raise ValueError("constant sample: Weibull MLE is undefined")
     scale0 = x.max()

@@ -151,30 +151,23 @@ def _exercise(payoffs, continuation, deferral, exercise, chained):
         exercise[h] &= exercise[h - 1]
 
 
-def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
-                      covered=(), j: int = DEFAULT_BASIS_SIZE,
-                      cache: RidershipCache | None = None
-                      ) -> list[SequenceValuation]:
+def valuate_sequences(orders, cache: RidershipCache,
+                      j: int = DEFAULT_BASIS_SIZE) -> list[SequenceValuation]:
     """Value same-length investment sequences by multi-option LSMC, in one
     backward recursion over all of them.
 
-    ``covered`` zones are already in service: they join every ridership
-    region and shift each position's interzone cost.  Passing a shared
-    ``cache`` reuses cumulative ridership across sequences with common
-    prefix sets; it must be built on these very ``scenario`` and ``paths``
-    and the same covered set.  Results are identical with or without it,
-    and identical to valuing each sequence on its own.  Working memory
-    grows with ``len(orders)``; value long lists in batches.
+    ``cache`` is the valuation context: its scenario, demand paths and
+    covered zones (already in service: they join every ridership region and
+    shift each position's interzone cost), plus the cumulative ridership of
+    every prefix set valued so far, which sequences with common prefix sets
+    share.  Results are identical to valuing each sequence on its own with a
+    fresh cache.  Working memory grows with ``len(orders)``; value long
+    lists in batches.
     """
     seqs = [o if isinstance(o, Sequence) else Sequence(tuple(o)) for o in orders]
     if not seqs:
         return []
-    covered = frozenset(covered)
-    if cache is not None and (cache.scenario is not scenario
-                              or cache.paths is not paths
-                              or cache.covered != covered):
-        raise ValueError("cache was built for another scenario, paths or "
-                         "covered set than the one being valued")
+    scenario, covered = cache.scenario, cache.covered
     h_len = len(seqs[0])
     for seq in seqs:
         if len(seq) != h_len:
@@ -183,17 +176,12 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
         overlap = covered & set(seq.order)
         if overlap:
             raise ValueError(f"sequence zones already covered: {sorted(overlap)}")
-    n_paths = paths.n_paths
+    n_paths = cache.paths.n_paths
     if h_len == 0:
         return [SequenceValuation(seq, 0.0, np.empty((0, n_paths), dtype=int),
                                   (), np.empty(0), 0) for seq in seqs]
     times = np.asarray(scenario.horizon_steps)
     n_steps = len(times)
-    if paths.n_steps != n_steps:
-        raise ValueError(
-            f"paths cover {paths.n_steps} steps, scenario horizon has {n_steps}")
-    if cache is None:
-        cache = RidershipCache(scenario, paths, covered)
     n_seq = len(seqs)
     shape = (h_len, n_seq, n_paths)
 
@@ -269,11 +257,11 @@ def valuate_sequences(orders, paths: DemandPaths, scenario: Scenario,
 
 
 def valuate_sequence(seq, paths: DemandPaths, scenario: Scenario,
-                     covered=(), j: int = DEFAULT_BASIS_SIZE,
-                     cache: RidershipCache | None = None) -> SequenceValuation:
-    """Value one investment sequence by multi-option LSMC.
+                     covered=(), j: int = DEFAULT_BASIS_SIZE) -> SequenceValuation:
+    """Value one investment sequence by multi-option LSMC, on a fresh
+    ridership cache over ``scenario``, ``paths`` and ``covered``.
 
-    The one-ordering case of :func:`valuate_sequences`, with the same
-    ``covered`` and ``cache`` semantics.
+    The one-ordering case of :func:`valuate_sequences`.
     """
-    return valuate_sequences([seq], paths, scenario, covered, j, cache)[0]
+    return valuate_sequences([seq], RidershipCache(scenario, paths, covered),
+                             j)[0]

@@ -232,6 +232,8 @@ def scores(model: LstmModel, candidates) -> np.ndarray:
 def score_and_rank(model: LstmModel, candidates, k: int):
     """Top-k candidates by descending score, ties broken by zone order."""
     candidates = list(candidates)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > len(candidates):
         raise ValueError(f"k={k} exceeds {len(candidates)} candidates")
     vals = scores(model, candidates)

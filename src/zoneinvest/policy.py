@@ -15,7 +15,7 @@ import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,6 +62,12 @@ class PolicyResult:
     dataset: LabeledDataset | None = field(default=None, compare=False, repr=False)
 
 
+# The report's "policy" block: every field but the value tables and the
+# in-memory model and dataset.
+_POLICY_FIELDS = tuple(f.name for f in fields(PolicyResult)
+                       if f.name not in ("tables", "model", "dataset"))
+
+
 # -- parallel sequence valuation ----------------------------------------------
 
 _WORKER: dict = {}
@@ -73,13 +79,12 @@ def _init_worker(scenario, paths, covered, j):
 
 def _value_batches(seqs, cache, j) -> list:
     # Only the t0 decisions ride along: stopping times would hold [H, P] per
-    # ordering, and the decisions are all the winner needs.
+    # ordering, and the decisions are all the winner needs.  No name holds a
+    # batch, so its valuations are freed before the next batch is valued.
     valued = []
     for i in range(0, len(seqs), BATCH_SIZE):
-        valued.extend((v.sequence, v.policy_value, v.decisions_t0)
-                      for v in valuate_sequences(
-                          seqs[i:i + BATCH_SIZE], cache.paths, cache.scenario,
-                          cache.covered, j, cache))
+        valued.extend((v.sequence, v.policy_value, v.decisions_t0) for v in
+                      valuate_sequences(seqs[i:i + BATCH_SIZE], cache, j))
     return valued
 
 
@@ -248,20 +253,12 @@ def report(result: PolicyResult, out, config: dict | None = None) -> Path:
     :func:`load_report`; ``run_info`` holds the volatile timestamp and
     ``config`` the caller's resolved parameters.
     """
+    pol = {name: getattr(result, name) for name in _POLICY_FIELDS}
+    pol["best_sequence"] = str(result.best_sequence)
     doc = {
         "config": config or {},
         "run_info": {"timestamp": datetime.now(timezone.utc).isoformat()},
-        "policy": {
-            "mode": result.mode,
-            "best_sequence": str(result.best_sequence),
-            "best_value": result.best_value,
-            "decisions": result.decisions,
-            "npv_deterministic": result.npv_deterministic,
-            "option_premium": result.option_premium,
-            "evaluated_count": result.evaluated_count,
-            "wall_time": result.wall_time,
-            "degenerate_labeling": result.degenerate_labeling,
-        },
+        "policy": pol,
         "tables": {name: [[s, v] for s, v in rows]
                    for name, rows in result.tables.items()},
     }
@@ -273,17 +270,7 @@ def report(result: PolicyResult, out, config: dict | None = None) -> Path:
 
 def load_report(path) -> PolicyResult:
     doc = json.loads(Path(path).read_text())
-    pol = doc["policy"]
-    return PolicyResult(
-        mode=pol["mode"],
-        best_sequence=Sequence.parse(pol["best_sequence"]),
-        best_value=pol["best_value"],
-        decisions=pol["decisions"],
-        npv_deterministic=pol["npv_deterministic"],
-        option_premium=pol["option_premium"],
-        evaluated_count=pol["evaluated_count"],
-        wall_time=pol["wall_time"],
-        tables={name: tuple((s, v) for s, v in rows)
-                for name, rows in doc["tables"].items()},
-        degenerate_labeling=pol["degenerate_labeling"],
-    )
+    pol = {name: doc["policy"][name] for name in _POLICY_FIELDS}
+    pol["best_sequence"] = Sequence.parse(pol["best_sequence"])
+    return PolicyResult(**pol, tables={name: tuple((s, v) for s, v in rows)
+                                       for name, rows in doc["tables"].items()})

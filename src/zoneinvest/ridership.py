@@ -66,15 +66,15 @@ def _wait_of(total, speed):
     return 0.8 * np.cbrt(total) * speed ** (-2.0 / 3.0)
 
 
-def _iterate_wait(attracted_sum, init_total, scenario: Scenario, *,
-                  cap=MAX_ITERATIONS):
+def _iterate_wait(attracted_sum, init_total, scenario: Scenario):
     """Scalar wait-time recursion, vectorized over independent demand slices.
 
     ``attracted_sum[m]`` is sum_ij Q_ij * cost_factor_ij for slice m and
     ``init_total[m]`` the slice's raw demand sum (lambda_0 = Q).  Returns the
     per-slice generalized-cost multiplier exp(-gamma*a_W*TW) entering the
     final ridership, plus totals, wait times and iteration counts.  Each
-    slice stops on its own gap, so a slice behaves exactly as if run alone.
+    slice stops on its own gap, so a slice behaves exactly as if run alone;
+    a slice still moving after ``MAX_ITERATIONS`` raises.
     """
     attracted_sum = np.atleast_1d(np.asarray(attracted_sum, dtype=float))
     m = attracted_sum.shape[0]
@@ -85,10 +85,10 @@ def _iterate_wait(attracted_sum, init_total, scenario: Scenario, *,
     iters = np.zeros(m, dtype=int)
     active = np.ones(m, dtype=bool)
     while active.any():
-        if iters[active].min() >= cap:
+        if iters[active].min() >= MAX_ITERATIONS:
             gaps = np.abs(_wait_of(attracted_sum[active] * np.exp(-coeff * tw[active]),
                                    scenario.speed) - tw[active])
-            raise ConvergenceError(float(gaps.max()), cap)
+            raise ConvergenceError(float(gaps.max()), MAX_ITERATIONS)
         iters[active] += 1
         mult_a = np.exp(-coeff * tw[active])
         total_a = attracted_sum[active] * mult_a
@@ -103,10 +103,16 @@ def _iterate_wait(attracted_sum, init_total, scenario: Scenario, *,
     return mult, total, tw, iters
 
 
+def _check_demand(demand: np.ndarray) -> None:
+    """Reject a negative or NaN entry.  A reduction, not ``demand < 0``: no
+    temporary the size of the demand."""
+    if demand.size and not demand.min() >= 0:
+        raise ValueError("demand entries must be >= 0 and not NaN")
+
+
 def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
-                          subzone_index: np.ndarray | None = None, *,
-                          initial_ridership: np.ndarray | None = None,
-                          cap: int = MAX_ITERATIONS) -> RidershipResult:
+                          subzone_index: np.ndarray | None = None
+                          ) -> RidershipResult:
     """Fixed-point equilibrium ridership for one demand matrix.
 
     Parameters
@@ -116,30 +122,26 @@ def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
     subzone_index
         Row/column indices of ``demand`` within the scenario's sub-zone
         order; ``None`` means the full region.
-    initial_ridership
-        Optional alternative start (default: the demand itself).
 
     Raises
     ------
     ConvergenceError
-        If the wait-time gap is still >= ``WAIT_TOL`` after ``cap``
-        iterations.
+        If the wait-time gap is still >= ``WAIT_TOL`` after
+        ``MAX_ITERATIONS`` iterations.
     """
     demand = np.asarray(demand, dtype=float)
     if demand.size == 0:
         raise ValueError("selected sub-zones must be nonempty")
     if demand.ndim != 2 or demand.shape[0] != demand.shape[1]:
         raise ValueError(f"demand must be square, got shape {demand.shape}")
-    if np.any(demand < 0):
-        raise ValueError("demand entries must be >= 0")
+    _check_demand(demand)
     n = scenario.n_subzones if subzone_index is None else len(subzone_index)
     if demand.shape[0] != n:
         raise ValueError(
             f"demand shape {demand.shape} does not match {n} selected sub-zones")
     factor = _cost_factor(scenario, subzone_index)
-    start = demand if initial_ridership is None else np.asarray(initial_ridership)
     mult, total, tw, iters = _iterate_wait(
-        (demand * factor).sum(), float(start.sum()), scenario, cap=cap)
+        (demand * factor).sum(), float(demand.sum()), scenario)
     return RidershipResult(od_ridership=demand * factor * mult[0],
                            total=float(total[0]), wait_time=float(tw[0]),
                            iterations=int(iters[0]))
@@ -155,8 +157,7 @@ def cumulative_ridership(zone_set, demand: np.ndarray, scenario: Scenario,
     the zone set (not on ordering).  An empty region has ridership 0.
     """
     demand = np.asarray(demand, dtype=float)
-    if np.any(demand < 0):
-        raise ValueError("demand entries must be >= 0")
+    _check_demand(demand)
     totals = _region_totals(zone_set, demand, scenario, covered)
     return float(totals) if totals.ndim == 0 else totals
 
@@ -218,14 +219,17 @@ class RidershipCache:
     repeat as *sets*, so totals for all horizon steps and paths are computed
     once per subset and reused.  ``covered`` zones are part of every region.
     Not thread-safe; use one cache per worker and share read-only inputs.
-    The paths are checked once here (the scenario checks its base demand),
-    so a miss solves without re-checking its selection.
+    The cache is the whole valuation context: paths must span the scenario's
+    horizon, and are checked once here (the scenario checks its base
+    demand), so a miss solves without re-checking its selection.
     """
 
     def __init__(self, scenario: Scenario, demand_paths, covered=()):
-        # A reduction, not `values < 0`: no temporary the size of the paths.
-        if np.nanmin(demand_paths.values) < 0:
-            raise ValueError("demand entries must be >= 0")
+        horizon = len(scenario.horizon_steps)
+        if demand_paths.n_steps != horizon:
+            raise ValueError(f"paths cover {demand_paths.n_steps} steps, "
+                             f"scenario horizon has {horizon}")
+        _check_demand(demand_paths.values)
         self.scenario = scenario
         self.paths = demand_paths
         self.covered = frozenset(covered)

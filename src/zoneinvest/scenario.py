@@ -14,6 +14,7 @@ freely across workers.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -38,6 +39,9 @@ DEFAULTS = {
 VOLATILITY_CHOICES = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
 
 _MATRIX_FIELDS = ("base_demand", "trip_price", "in_vehicle_time")
+_SCALAR_FIELDS = ("value_of_time", "alpha_wait", "alpha_iv", "gamma", "speed",
+                  "drift", "discount_rate")
+_COST_FIELDS = ("within_zone_cost", "interzone_cost")
 
 
 class ScenarioError(ValueError):
@@ -128,10 +132,13 @@ class Scenario:
                     f"for {n} sub-zones")
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise ScenarioError(f"{name} must be finite and >= 0")
+        for name in _SCALAR_FIELDS + _COST_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite")
         if set(self.zone_volatility) != set(self.zones):
             raise ScenarioError("zone_volatility keys must equal zones")
-        if any(v < 0 for v in self.zone_volatility.values()):
-            raise ScenarioError("zone_volatility values must be >= 0")
+        if not all(0 <= v < math.inf for v in self.zone_volatility.values()):
+            raise ScenarioError("zone_volatility values must be finite and >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ScenarioError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.discount_rate <= -1.0:
@@ -139,6 +146,8 @@ class Scenario:
         if self.speed <= 0:
             raise ScenarioError("speed must be positive")
         steps = self.horizon_steps
+        if not all(map(math.isfinite, steps)):
+            raise ScenarioError("horizon_steps must be finite")
         if not steps or any(b <= a for a, b in zip(steps, steps[1:])):
             raise ScenarioError("horizon_steps must be strictly increasing")
         if steps[0] <= 0:
@@ -154,9 +163,6 @@ class Scenario:
 
 
 # -- file I/O ----------------------------------------------------------------
-
-_SCALAR_FIELDS = ("value_of_time", "alpha_wait", "alpha_iv", "gamma", "speed",
-                  "drift", "discount_rate")
 
 
 def _read_matrix_csv(path: Path, expected: tuple[SubzoneId, ...]) -> np.ndarray:
@@ -258,12 +264,11 @@ def load_scenario(path) -> Scenario:
     kwargs["speed"] = speed
     scen = Scenario(**kwargs)
 
-    cwz, ciz = cfg.get("within_zone_cost"), cfg.get("interzone_cost")
-    if cwz is None or cwz == "derive":
-        cwz = derive_cost_thresholds(scen, "within")
-    if ciz is None or ciz == "derive":
-        ciz = derive_cost_thresholds(scen, "inter")
-    return replace(scen, within_zone_cost=float(cwz), interzone_cost=float(ciz))
+    costs = [cfg.get(key) for key in _COST_FIELDS]
+    if any(c in (None, "derive") for c in costs):
+        costs = [d if c in (None, "derive") else c
+                 for c, d in zip(costs, derive_cost_thresholds(scen))]
+    return replace(scen, **{key: float(c) for key, c in zip(_COST_FIELDS, costs)})
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -282,10 +287,8 @@ def save_scenario(scenario: Scenario, path) -> None:
         "zones": list(scenario.zones),
         "subzone_to_zone": scenario.subzone_to_zone,
         "zone_volatility": scenario.zone_volatility,
-        "within_zone_cost": scenario.within_zone_cost,
-        "interzone_cost": scenario.interzone_cost,
         "horizon_steps": list(scenario.horizon_steps),
-        **{key: getattr(scenario, key) for key in _SCALAR_FIELDS},
+        **{key: getattr(scenario, key) for key in _SCALAR_FIELDS + _COST_FIELDS},
         **names,
     }
     path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
@@ -293,30 +296,27 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 # -- cost thresholds ---------------------------------------------------------
 
-def derive_cost_thresholds(scenario: Scenario, mode: str) -> float:
-    """Ridership cost threshold derived from the base (t0) demand.
+def derive_cost_thresholds(scenario: Scenario) -> tuple[float, float]:
+    """Ridership cost thresholds ``(within, inter)`` from one equilibrium
+    solve over the full region at the base (t0) demand.
 
-    ``mode="within"``: 40% of the average aggregate within-zone equilibrium
-    ridership across zones.  ``mode="inter"``: average aggregate equilibrium
-    ridership between ordered zone pairs (0 for a single zone).  Both use one
-    equilibrium computation over the full region.
+    ``within``: 40% of the average aggregate within-zone equilibrium
+    ridership across zones.  ``inter``: average aggregate equilibrium
+    ridership between ordered zone pairs (0 for a single zone).
     """
-    if mode not in ("within", "inter"):
-        raise ValueError(f"mode must be 'within' or 'inter', got {mode!r}")
     if not scenario.base_demand.any():
-        warnings.warn("all-zero base demand: cost threshold is 0")
-        return 0.0
+        warnings.warn("all-zero base demand: cost thresholds are 0")
+        return 0.0, 0.0
     from .ridership import equilibrium_ridership
 
     lam = equilibrium_ridership(scenario.base_demand, scenario).od_ridership
     groups = [scenario.subzone_indices([z]) for z in scenario.zones]
-    if mode == "within":
-        per_zone = [lam[np.ix_(g, g)].sum() for g in groups]
-        return 0.4 * float(np.mean(per_zone))
+    per_zone = [lam[np.ix_(g, g)].sum() for g in groups]
     pairs = [lam[np.ix_(g, h)].sum()
              for i, g in enumerate(groups)
              for j, h in enumerate(groups) if i != j]
-    return float(np.mean(pairs)) if pairs else 0.0
+    return (0.4 * float(np.mean(per_zone)),
+            float(np.mean(pairs)) if pairs else 0.0)
 
 
 # -- synthetic scenarios -----------------------------------------------------
@@ -373,6 +373,5 @@ def generate_synthetic_scenario(seed: int, n_zones: int, subzones_per_zone: int,
     with warnings.catch_warnings():
         if demand_scale == 0:
             warnings.simplefilter("ignore")
-        cwz = derive_cost_thresholds(scen, "within")
-        ciz = derive_cost_thresholds(scen, "inter")
+        cwz, ciz = derive_cost_thresholds(scen)
     return replace(scen, within_zone_cost=cwz, interzone_cost=ciz)

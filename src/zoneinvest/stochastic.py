@@ -26,7 +26,6 @@ class DemandPaths:
     """Simulated demand tensor, indexed [path, step, origin, destination]."""
 
     values: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.values.flags.writeable = False
@@ -74,7 +73,7 @@ def simulate_paths(scenario: Scenario, n_paths: int, seed: int) -> DemandPaths:
     np.cumsum(out, axis=1, out=out)
     np.exp(out, out=out)
     out *= scenario.base_demand
-    return DemandPaths(values=out, seed=seed)
+    return DemandPaths(values=out)
 
 
 def dump_paths(paths: DemandPaths, file) -> None:

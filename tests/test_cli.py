@@ -93,6 +93,7 @@ def test_valuate_single_sequence(tmp_path, scen3):
     assert doc["policy_value"] >= 0.0
     assert len(doc["decisions_t0"]) == 3
     assert len(doc["stopping_times"]) == 3
+    assert doc["rank_deficient_fits"] >= 0
 
 
 def test_cr_report_contains_all_sequences(tmp_path, scen3):

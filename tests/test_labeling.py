@@ -37,13 +37,11 @@ class TestWeibullFit:
         with pytest.raises(ValueError, match="constant"):
             fit_weibull(np.full(20, 3.0))
 
-    def test_non_positive_rejected_and_shift_documented(self):
+    def test_non_positive_rejected(self):
         rng = np.random.default_rng(10)
         data = weibull_samples(2.0, 5.0, 1000, rng)
-        with pytest.raises(ValueError, match="shift"):
+        with pytest.raises(ValueError, match="strictly positive"):
             fit_weibull(data - 10.0)
-        k, lam = fit_weibull(data - 10.0, shift=-10.0)
-        assert k == pytest.approx(2.0, rel=0.1)
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError, match="at least"):

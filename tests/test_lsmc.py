@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermevander
 
 from zoneinvest.lsmc import (DEFER, INVEST, NEVER, continuation_fit,
-                             valuate_sequence)
+                             valuate_sequence, valuate_sequences)
 from zoneinvest.ridership import RidershipCache, payoff_threshold
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence
@@ -194,8 +194,7 @@ class TestValuationStructure:
         scen, paths, val = setup
         again = valuate_sequence(Sequence(scen.zones), paths, scen)
         shared = RidershipCache(scen, paths)
-        cached = valuate_sequence(Sequence(scen.zones), paths, scen,
-                                  cache=shared)
+        cached = valuate_sequences([Sequence(scen.zones)], shared)[0]
         for other in (again, cached):
             assert other.policy_value == val.policy_value
             assert np.array_equal(other.stopping_times, val.stopping_times)
@@ -213,22 +212,6 @@ class TestValuationStructure:
         with pytest.raises(ValueError, match="covered"):
             valuate_sequence(Sequence(scen.zones), paths, scen,
                              covered=(scen.zones[0],))
-
-    @pytest.mark.parametrize("mismatch", ["covered", "paths", "scenario"])
-    def test_mismatched_cache_rejected(self, setup, mismatch):
-        scen, paths, _ = setup
-        covered = (scen.zones[0],)
-        if mismatch == "covered":
-            cache = RidershipCache(scen, paths)
-        elif mismatch == "paths":
-            cache = RidershipCache(scen, simulate_paths(scen, 200, seed=7),
-                                   covered)
-        else:
-            other = generate_synthetic_scenario(5, 3, 2, 80.0)
-            cache = RidershipCache(other, paths, covered)
-        with pytest.raises(ValueError, match="cache"):
-            valuate_sequence(Sequence(scen.zones[1:]), paths, scen,
-                             covered=covered, cache=cache)
 
     def test_value_at_least_own_t0_exercise(self, setup):
         scen, paths, val = setup

@@ -20,6 +20,7 @@ from zoneinvest import policy
 from zoneinvest.lsmc import (DEFAULT_BASIS_SIZE, DEFER, NEVER, _fit_rows,
                              continuation_fit, valuate_sequence,
                              valuate_sequences)
+from zoneinvest.ridership import RidershipCache
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence
 from zoneinvest.stochastic import DemandPaths, simulate_paths
@@ -37,7 +38,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 def doubled(paths):
     """``paths`` with every path taken twice: states then take at most as
     many distinct values as there were paths."""
-    return DemandPaths(np.concatenate([paths.values, paths.values]), paths.seed)
+    return DemandPaths(np.concatenate([paths.values, paths.values]))
 
 
 @st.composite
@@ -89,7 +90,7 @@ def assert_same(val, other):
 
 def assert_matches_oracle(problem):
     scen, paths, covered, seqs = problem
-    vals = valuate_sequences(seqs, paths, scen, covered)
+    vals = valuate_sequences(seqs, RidershipCache(scen, paths, covered))
     assert len(vals) == len(seqs)
     for seq, val in zip(seqs, vals):
         value, tau, decisions, per_zone, deficient = per_sequence_lsmc(
@@ -155,10 +156,11 @@ def test_all_negative_payoffs_value_zero_and_defer(problem):
 @given(problems(), st.data())
 def test_batch_size_invariance(problem, data):
     scen, paths, covered, seqs = problem
-    whole = valuate_sequences(seqs, paths, scen, covered)
+    whole = valuate_sequences(seqs, RidershipCache(scen, paths, covered))
     cut = data.draw(st.integers(0, len(seqs)))
-    split = (valuate_sequences(seqs[:cut], paths, scen, covered)
-             + valuate_sequences(seqs[cut:], paths, scen, covered))
+    shared = RidershipCache(scen, paths, covered)
+    split = (valuate_sequences(seqs[:cut], shared)
+             + valuate_sequences(seqs[cut:], shared))
     for i, seq in enumerate(seqs):
         alone = valuate_sequence(seq, paths, scen, covered)
         assert_same(alone, whole[i])
@@ -251,20 +253,22 @@ class TestEdgeCases:
 
     def test_no_orderings(self, setup):
         scen, paths = setup
-        assert valuate_sequences([], paths, scen) == []
+        assert valuate_sequences([], RidershipCache(scen, paths)) == []
 
     def test_mixed_lengths_rejected(self, setup):
         scen, paths = setup
         with pytest.raises(ValueError, match="length"):
-            valuate_sequences([("A",), ("A", "B")], paths, scen)
+            valuate_sequences([("A",), ("A", "B")], RidershipCache(scen, paths))
 
     def test_covered_overlap_rejected(self, setup):
         scen, paths = setup
         with pytest.raises(ValueError, match="covered"):
-            valuate_sequences([("B",), ("A",)], paths, scen, covered=("A",))
+            valuate_sequences([("B",), ("A",)],
+                              RidershipCache(scen, paths, covered=("A",)))
 
     def test_plain_tuples_accepted(self, setup):
         scen, paths = setup
-        vals = valuate_sequences([("A", "B"), ("B", "A")], paths, scen)
+        vals = valuate_sequences([("A", "B"), ("B", "A")],
+                                 RidershipCache(scen, paths))
         assert [v.sequence for v in vals] == [Sequence(("A", "B")),
                                               Sequence(("B", "A"))]

@@ -347,6 +347,13 @@ class TestRanking:
         with pytest.raises(ValueError):
             score_and_rank(model, enumerate_sequences(("a", "b")), k=3)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        # ranked[:k] would silently keep all but |k| candidates.
+        model = init_model(tuple("abc"), 4, CLASSIFIER, seed=7)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            score_and_rank(model, enumerate_sequences(("a", "b", "c")), k=k)
+
 
 def test_scoring_memory_is_bounded(synth7):
     """Ranking cr_rnn_h7's 4738 unsampled orderings at d = 50 holds chunks of

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -212,6 +213,10 @@ def test_report_round_trip(tmp_path, small):
     res = cr_policy(scen, paths)
     out = report(res, tmp_path / "cr.json", config={"seed": 2})
     assert load_report(out) == res
+    assert sorted(json.loads(out.read_text())["policy"]) == [
+        "best_sequence", "best_value", "decisions", "degenerate_labeling",
+        "evaluated_count", "mode", "npv_deterministic", "option_premium",
+        "wall_time"]
     rows = (tmp_path / "cr.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 6  # header + H! sequences
 

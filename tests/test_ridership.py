@@ -62,24 +62,18 @@ def test_ridership_bounded_by_demand(two_zone):
     assert res.total == pytest.approx(res.od_ridership.sum(), rel=1e-12)
 
 
-def test_fixed_point_invariant_to_initial_guess(two_zone):
-    demand = two_zone.base_demand
-    from_q = equilibrium_ridership(demand, two_zone)
-    from_zero = equilibrium_ridership(demand, two_zone,
-                                      initial_ridership=np.zeros_like(demand))
-    assert abs(from_q.total - from_zero.total) < 10 * 0.001
-
-
 def test_scaling_demand_up_never_decreases_total(two_zone):
     totals = [equilibrium_ridership(s * two_zone.base_demand, two_zone).total
               for s in (0.5, 1.0, 2.0, 4.0)]
     assert all(b >= a for a, b in zip(totals, totals[1:]))
 
 
-def test_nonconvergence_raises_with_gap(two_zone):
+def test_nonconvergence_raises_with_gap(two_zone, monkeypatch):
+    monkeypatch.setattr(ridership, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError) as err:
-        equilibrium_ridership(two_zone.base_demand, two_zone, cap=1)
+        equilibrium_ridership(two_zone.base_demand, two_zone)
     assert err.value.gap > 0
+    assert err.value.iterations == 1
 
 
 class TestCumulative:
@@ -206,6 +200,22 @@ class TestStacked:
         bad[3, 2, 2, 3] = -1.0  # outside zone A, so only a full check sees it
         with pytest.raises(ValueError, match=">= 0"):
             RidershipCache(two_zone, replace(paths, values=bad))
+
+    def test_nan_demand_rejected(self, two_zone, paths):
+        bad = paths.values.copy()
+        bad[3, 2, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            cumulative_ridership(("B",), bad, two_zone)
+        bad[:] = np.nan  # all NaN: a NaN-skipping minimum would see no entry
+        with pytest.raises(ValueError, match="NaN"):
+            RidershipCache(two_zone, replace(paths, values=bad))
+        with pytest.raises(ValueError, match="NaN"):
+            equilibrium_ridership(bad[0, 0], two_zone)
+
+    def test_cache_rejects_paths_off_the_horizon(self, two_zone, paths):
+        short = replace(paths, values=paths.values[:, :-1])
+        with pytest.raises(ValueError, match="horizon has 5"):
+            RidershipCache(two_zone, short)
 
 
 @PROPERTY

@@ -1,4 +1,7 @@
 import json
+import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +72,34 @@ def test_invariant_violations_name_the_field(tmp_path):
         load_scenario(write_config(tmp_path, horizon_steps=[1, 1, 2]))
 
 
+@pytest.mark.parametrize("field", ["value_of_time", "alpha_wait", "alpha_iv",
+                                   "gamma", "speed", "drift", "discount_rate",
+                                   "within_zone_cost", "interzone_cost"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_scalar_rejected(two_zone, field, bad):
+    with pytest.raises(ScenarioError, match=f"{field} must be finite"):
+        replace(two_zone, **{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_volatility_and_horizon_rejected(two_zone, bad):
+    with pytest.raises(ScenarioError, match="zone_volatility"):
+        replace(two_zone, zone_volatility={"A": 0.2, "B": bad})
+    with pytest.raises(ScenarioError, match="horizon_steps must be finite"):
+        replace(two_zone, horizon_steps=(1.0, 2.0, bad))
+    with pytest.raises(ScenarioError, match="horizon_steps must be finite"):
+        replace(two_zone, horizon_steps=(bad, 2.0))
+
+
+def test_nan_in_config_rejected(tmp_path):
+    # JSON parses NaN, so a config can carry one into every field.
+    for key in ("discount_rate", "drift", "within_zone_cost"):
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(write_config(tmp_path, **{key: math.nan}))
+    with pytest.raises(ScenarioError, match="horizon"):
+        load_scenario(write_config(tmp_path, horizon_steps=[1, math.nan]))
+
+
 def test_save_load_round_trip(tmp_path):
     scen = load_scenario(write_config(tmp_path))
     save_scenario(scen, tmp_path / "copy" / "scenario.json")
@@ -93,23 +124,24 @@ class TestCostThresholds:
     def test_all_zero_demand_warns_and_returns_zero(self):
         scen = make_scenario(np.zeros((2, 2)), {"a1": "A", "b1": "B"},
                              {"A": 0.1, "B": 0.1})
-        with pytest.warns(UserWarning):
-            assert derive_cost_thresholds(scen, "within") == 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert derive_cost_thresholds(scen) == (0.0, 0.0)
+        assert [w.category for w in caught] == [UserWarning]
 
     def test_single_zone_has_no_interzone_pairs(self):
         scen = make_scenario([[50.0, 10.0], [20.0, 40.0]],
                              {"a1": "A", "a2": "A"}, {"A": 0.1})
-        assert derive_cost_thresholds(scen, "inter") == 0.0
-        assert derive_cost_thresholds(scen, "within") > 0.0
+        within, inter = derive_cost_thresholds(scen)
+        assert inter == 0.0
+        assert within > 0.0
 
     def test_matches_hand_computation_on_two_zones(self, two_zone):
         lam = equilibrium_ridership(two_zone.base_demand, two_zone).od_ridership
         within = 0.5 * (lam[:2, :2].sum() + lam[2:, 2:].sum())
         inter = 0.5 * (lam[:2, 2:].sum() + lam[2:, :2].sum())
-        assert derive_cost_thresholds(two_zone, "within") == pytest.approx(
-            0.4 * within, rel=1e-12)
-        assert derive_cost_thresholds(two_zone, "inter") == pytest.approx(
-            inter, rel=1e-12)
+        assert derive_cost_thresholds(two_zone) == pytest.approx(
+            (0.4 * within, inter), rel=1e-12)
 
     def test_invariant_under_subzone_relabeling(self, two_zone):
         perm = [2, 0, 3, 1]
@@ -119,9 +151,8 @@ class TestCostThresholds:
             two_zone.base_demand[np.ix_(perm, perm)], mapping,
             two_zone.zone_volatility, cwz=two_zone.within_zone_cost,
             ciz=two_zone.interzone_cost)
-        for mode in ("within", "inter"):
-            assert derive_cost_thresholds(shuffled, mode) == pytest.approx(
-                derive_cost_thresholds(two_zone, mode), rel=1e-9)
+        assert derive_cost_thresholds(shuffled) == pytest.approx(
+            derive_cost_thresholds(two_zone), rel=1e-9)
 
 
 class TestSynthetic:
@@ -134,6 +165,18 @@ class TestSynthetic:
     def test_deterministic(self):
         assert generate_synthetic_scenario(3, 4, 2, 50.0) == \
             generate_synthetic_scenario(3, 4, 2, 50.0)
+
+    def test_thresholds_of_loaded_equal_generated(self, tmp_path):
+        scen = generate_synthetic_scenario(1, 4, 2, 100.0)
+        save_scenario(scen, tmp_path / "s.json")
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["within_zone_cost"] = "derive"
+        del doc["interzone_cost"]
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        loaded = load_scenario(tmp_path / "s.json")
+        assert (loaded.within_zone_cost, loaded.interzone_cost) == \
+            derive_cost_thresholds(scen) == \
+            (scen.within_zone_cost, scen.interzone_cost)
 
     def test_zero_demand_degenerate(self):
         scen = generate_synthetic_scenario(2, 1, 1, 0.0)
