@@ -177,7 +177,8 @@ def _rnn_kwargs(args) -> dict:
                 thr_fact=args.thr_fact, **_train_kwargs(args))
 
 
-def _dispatch(args) -> int:
+def _dispatch(args) -> None:
+    """Run one subcommand; its files are written when this returns."""
     if args.command == "scenario":
         if args.scenario_command != "gen":
             raise ValueError("usage: zoneinvest scenario gen ...")
@@ -185,8 +186,7 @@ def _dispatch(args) -> int:
         scen = scenario.generate_synthetic_scenario(
             args.seed, args.zones, args.subzones_per_zone, args.demand_scale)
         scenario.save_scenario(scen, args.out)
-        print(args.out)
-        return 0
+        return
 
     cfg = _resolved_config(args)
     if args.command == "label":
@@ -195,8 +195,7 @@ def _dispatch(args) -> int:
             [(sequences.Sequence(o), v) for o, v in vals],
             args.population, args.thr_fact, args.pnr_max)
         labeling.save_labeled(ds, args.out)
-        print(args.out)
-        return 0
+        return
     if args.command == "train":
         ds = labeling.load_labeled(args.labeled)
         head = neural.CLASSIFIER if args.head == "classifier" else neural.REGRESSOR
@@ -205,24 +204,24 @@ def _dispatch(args) -> int:
         neural.save_model(model, args.out)
         log.info("trained %d epochs (best %s)", history[-1][0],
                  model.training_meta.get("best_epoch"))
-        print(args.out)
-        return 0
+        return
     if args.command == "evaluate":
         model = neural.load_model(args.model)
         table = dict(_read_values_csv(args.values))
         ds = labeling.load_labeled(args.labeled)
         train_orders = [s.order for s in ds.sequences]
+        # Every row is computed before the file is opened, so a rejected
+        # --k or an empty test pool leaves no partial metrics file.
+        rows = [["k", "gap_at_k", "auc", "eta_true", "eta_pred"]]
+        for k in args.k:
+            m = policy.evaluate_retrieval(model, table, train_orders, k,
+                                          ds.eta_bin)
+            rows.append([k, m["gap_at_k"], m["auc"], m["eta_true"],
+                         m["eta_pred"]])
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "gap_at_k", "auc", "eta_true", "eta_pred"])
-            for k in args.k:
-                m = policy.evaluate_retrieval(model, table, train_orders, k,
-                                              ds.eta_bin)
-                writer.writerow([k, m["gap_at_k"], m["auc"], m["eta_true"],
-                                 m["eta_pred"]])
-        print(args.out)
-        return 0
+            csv.writer(fh).writerows(rows)
+        return
 
     scen = scenario.load_scenario(args.scenario)
     if args.command == "rollout":
@@ -239,14 +238,12 @@ def _dispatch(args) -> int:
                 scen, policy_kind=rollout.INVEST_ALL, **shared)
             res = rollout.compare_rollouts(res, bench)
         rollout.rollout_report(res, args.out, config=cfg)
-        print(args.out)
-        return 0
+        return
 
     sim = stochastic.simulate_paths(scen, args.paths, args.seed)
     if args.command == "simulate":
         stochastic.dump_paths(sim, args.out)
-        print(args.out)
-        return 0
+        return
     covered = sequences.Sequence.parse(args.covered).order
     if args.command == "valuate":
         val = valuate_sequence(sequences.Sequence.parse(args.sequence), sim,
@@ -261,14 +258,12 @@ def _dispatch(args) -> int:
             "rank_deficient_fits": val.rank_deficient_fits,
         }
         write_report(args.out, doc)
-        print(args.out)
-        return 0
+        return
     if args.command == "cr":
         res = policy.cr_policy(scen, sim, covered=covered, j=args.j,
                                workers=args.workers)
         policy.report(res, args.out, config=cfg)
-        print(args.out)
-        return 0
+        return
     if args.command == "cr-rnn":
         res = policy.cr_rnn_policy(scen, sim, covered=covered, j=args.j,
                                    workers=args.workers, seed=args.seed,
@@ -278,8 +273,7 @@ def _dispatch(args) -> int:
             neural.save_model(res.model, args.model_out)
         if args.labeled_out and res.dataset is not None:
             labeling.save_labeled(res.dataset, args.labeled_out)
-        print(args.out)
-        return 0
+        return
     raise ValueError(f"unknown command {args.command!r}")
 
 
@@ -293,12 +287,14 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return _dispatch(args)
+        _dispatch(args)
     except Exception as exc:  # surface a machine-readable failure block
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}),
               file=sys.stderr)
         return 1
+    print(args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 An outer simulation realizes demand over decision epochs; at each epoch the
 chosen policy re-optimizes the remaining candidate zones against a fresh
 inner simulation rooted at the realized demand, and invest-decided zones
-join the covered set for the rest of that path.  Per-path NPV discounts the
-realized payoffs of the covered zones at every epoch; the profitability
-measure divides each epoch's payoff by its ridership before discounting.
+join the covered set for the rest of that path.  An epoch's realized payoff
+is the deterministic NPV of the covered ordering at the realized demand, and
+its ridership is the covered region's equilibrium total.  Per-path NPV
+discounts the payoffs; the profitability measure divides each epoch's payoff
+by its ridership before discounting.
 Policies are compared path-by-path with a paired t-test whose critical
 values come from a built-in two-sided table.
 """
@@ -20,8 +22,8 @@ import numpy as np
 
 from ._report import write_report
 from .lsmc import INVEST
-from .policy import CR, CR_RNN, cr_policy, cr_rnn_policy
-from .ridership import cumulative_ridership, zone_payoff
+from .policy import CR, CR_RNN, cr_policy, cr_rnn_policy, deterministic_npv
+from .ridership import cumulative_ridership
 from .scenario import Scenario
 from .stochastic import simulate_paths
 
@@ -35,7 +37,7 @@ class EpochRecord:
     invested: tuple[str, ...]   # zones added this epoch, in sequence order
     covered: tuple[str, ...]    # full covered set after the epoch, in order
     payoff: float               # realized payoff sum over covered zones
-    ridership: float            # realized ridership sum over covered zones
+    ridership: float            # realized ridership of the covered region
 
 
 @dataclass(frozen=True)
@@ -111,21 +113,6 @@ def _epoch_seed(master: int, path: int, epoch: int) -> int:
                .generate_state(1)[0])
 
 
-def _realized_totals(cov_order, demand, scenario):
-    """Payoff and ridership sums over the covered zones (in investment
-    order) at one realized demand matrix."""
-    payoff = 0.0
-    ridership = 0.0
-    prev = 0.0
-    for h, _ in enumerate(cov_order, start=1):
-        cur = cumulative_ridership(cov_order[:h], demand, scenario)
-        x = cur - prev
-        payoff += zone_payoff(h, x, scenario)
-        ridership += x
-        prev = cur
-    return payoff, ridership
-
-
 def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
                 policy_kind: str, initial_covered=(), inner_paths: int = 300,
                 inner: dict | None = None, workers: int = 1) -> RolloutResult:
@@ -156,6 +143,7 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
         cov_order = list(initial)
         for e in range(1, n_epochs + 1):
             demand = outer.values[p, e - 1]
+            epoch_scen = replace(scenario, base_demand=demand)
             remaining = sorted(set(scenario.zones) - set(cov_order))
             invested: tuple[str, ...] = ()
             if remaining:
@@ -163,7 +151,6 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
                     if e == 1:
                         invested = tuple(remaining)
                 else:
-                    epoch_scen = replace(scenario, base_demand=demand)
                     epoch_seed = _epoch_seed(seed, p, e)
                     sim = simulate_paths(epoch_scen, inner_paths, epoch_seed)
                     try:
@@ -183,8 +170,8 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
                         z for z in res.best_sequence.order
                         if res.decisions[z] == INVEST)
                 cov_order.extend(invested)
-            payoff, ridership = _realized_totals(tuple(cov_order), demand,
-                                                 scenario)
+            payoff = deterministic_npv(cov_order, epoch_scen)
+            ridership = cumulative_ridership(cov_order, demand, scenario)
             disc = (1.0 + rho) ** (-e)
             npv[p] += disc * payoff
             pv_profit[p] += disc * (payoff / ridership if ridership > 0 else 0.0)

@@ -239,36 +239,49 @@ def load_scenario(path) -> Scenario:
     demand = matrix_of("base_demand")
     price = matrix_of("trip_price")
     tiv = matrix_of("in_vehicle_time")
-    speed = float(cfg.get("speed", DEFAULTS["speed"]))
+    scalars = {key: _number(cfg.get(key, DEFAULTS[key]), key)
+               for key in _SCALAR_FIELDS}
     if tiv is None and "subzone_coordinates" in cfg:
-        tiv = _tiv_from_coordinates(cfg["subzone_coordinates"], subzones, speed)
+        tiv = _tiv_from_coordinates(cfg["subzone_coordinates"], subzones,
+                                    scalars["speed"])
     if price is None:
         raise ScenarioError("scenario config missing 'trip_price'")
     if tiv is None:
         raise ScenarioError(
             "scenario config needs 'in_vehicle_time' or 'subzone_coordinates'")
+    costs = [None if cfg.get(key) in (None, "derive") else _number(cfg[key], key)
+             for key in _COST_FIELDS]
+    steps = cfg.get("horizon_steps", DEFAULTS["horizon_steps"])
+    if not isinstance(steps, (list, tuple)):
+        raise ScenarioError(f"horizon_steps must be a list, got {steps!r}")
 
-    kwargs = dict(
+    scen = Scenario(
         zones=tuple(cfg["zones"]),
         subzone_to_zone=subzone_to_zone,
         base_demand=demand,
         trip_price=price,
         in_vehicle_time=tiv,
-        zone_volatility={k: float(v) for k, v in cfg["zone_volatility"].items()},
-        horizon_steps=tuple(cfg.get("horizon_steps", DEFAULTS["horizon_steps"])),
+        zone_volatility={k: _number(v, f"zone_volatility[{k!r}]")
+                         for k, v in cfg["zone_volatility"].items()},
+        horizon_steps=tuple(_number(t, "horizon_steps") for t in steps),
         within_zone_cost=0.0,
         interzone_cost=0.0,
+        **scalars,
     )
-    for key in _SCALAR_FIELDS:
-        kwargs[key] = float(cfg.get(key, DEFAULTS[key]))
-    kwargs["speed"] = speed
-    scen = Scenario(**kwargs)
-
-    costs = [cfg.get(key) for key in _COST_FIELDS]
-    if any(c in (None, "derive") for c in costs):
-        costs = [d if c in (None, "derive") else c
+    if None in costs:
+        costs = [d if c is None else c
                  for c, d in zip(costs, derive_cost_thresholds(scen))]
-    return replace(scen, **{key: float(c) for key, c in zip(_COST_FIELDS, costs)})
+    return replace(scen, **dict(zip(_COST_FIELDS, costs)))
+
+
+def _number(value, field) -> float:
+    """A config value as a float; anything that is not a number raises a
+    :class:`ScenarioError` naming ``field``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"{field} must be a number, got {value!r}") from None
 
 
 def save_scenario(scenario: Scenario, path) -> None:

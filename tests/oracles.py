@@ -10,6 +10,8 @@ form, one weight pair per gate and one matmul per gate and step, kept as the
 reference for the fused-gate kernel.  ``gathered_region_totals`` and
 ``per_path_gbm`` are the unchunked region sum and the per-path simulation
 loop, kept as bit-for-bit references for their bounded-memory forms.
+``realized_totals`` is the rollout's first per-epoch prefix walk, kept as the
+reference for its fold into ``deterministic_npv``.
 """
 
 import itertools
@@ -364,3 +366,21 @@ def per_path_gbm(scenario, n_paths, seed):
         out[p] = scenario.base_demand[None] * np.exp(
             np.cumsum(drift + vol * z, axis=0))
     return out
+
+
+def realized_totals(cov_order, demand, scenario):
+    """Payoff and ridership sums over the covered zones (in investment
+    order) at one realized demand matrix, the ridership telescoped from
+    per-zone increments."""
+    from zoneinvest.ridership import cumulative_ridership, zone_payoff
+
+    payoff = 0.0
+    ridership = 0.0
+    prev = 0.0
+    for h, _ in enumerate(cov_order, start=1):
+        cur = cumulative_ridership(cov_order[:h], demand, scenario)
+        x = cur - prev
+        payoff += zone_payoff(h, x, scenario)
+        ridership += x
+        prev = cur
+    return payoff, ridership

@@ -274,3 +274,18 @@ def test_outputs_create_missing_parent_directories(tmp_path, chain_inputs,
     assert main(argv) == 0
     for name in files:
         assert (out / name).is_file(), name
+
+
+@pytest.mark.parametrize("values, ks", [
+    ("cr.csv", ["-5"]),
+    ("cr.csv", ["1", "-5"]),      # a good k before the rejected one
+    ("labeled.csv", ["1"]),       # every ordering trained on: no test pool
+])
+def test_failed_evaluate_leaves_no_metrics_file(tmp_path, chain_inputs,
+                                                values, ks):
+    out = tmp_path / "m.csv"
+    assert main(["evaluate", "--model", str(chain_inputs / "model.json"),
+                 "--values", str(chain_inputs / values),
+                 "--labeled", str(chain_inputs / "labeled.csv"),
+                 "--k", *ks, "--out", str(out)]) == 1
+    assert not out.exists()

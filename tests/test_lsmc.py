@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermevander
 
 from zoneinvest.lsmc import (DEFER, INVEST, NEVER, continuation_fit,
                              valuate_sequence, valuate_sequences)
-from zoneinvest.ridership import RidershipCache, payoff_threshold
+from zoneinvest.ridership import (RidershipCache, cumulative_ridership,
+                                  payoff_threshold)
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence
 from zoneinvest.stochastic import simulate_paths
@@ -12,6 +17,10 @@ from zoneinvest.stochastic import simulate_paths
 from conftest import make_scenario, single_od_scenario
 from oracles import (binomial_option_value, compound_schedule_optimum,
                      polyfit_normal_equations)
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestContinuationFit:
@@ -110,7 +119,6 @@ class TestDeterministicDP:
         assert expected > max(0.0, sum(p[0] for p in payoff))
 
     def test_all_orderings_match_oracle(self):
-        import itertools
         scen = deterministic_scenario()
         paths = simulate_paths(scen, 3, seed=1)
         times = scen.horizon_steps
@@ -129,6 +137,42 @@ class TestDeterministicDP:
                                                  scen.discount_rate)
             val = valuate_sequence(Sequence(order), paths, scen)
             assert val.policy_value == pytest.approx(expected, abs=1e-9), order
+
+    @PROPERTY
+    @given(st.data())
+    def test_sigma_zero_equals_schedule_dp(self, data):
+        """On random small zero-volatility scenarios, with or without a
+        covered zone, every ordering's LSMC value is the schedule optimum
+        of its deterministic per-position payoffs."""
+        draw = data.draw
+        n_covered = draw(st.integers(0, 1))
+        n_zones = draw(st.integers(2, 3)) + n_covered
+        zones = [chr(ord("A") + i) for i in range(n_zones)]
+        covered, candidates = zones[:n_covered], zones[n_covered:]
+        mapping = {f"{z.lower()}1": z for z in zones}
+        demand = draw(st.lists(st.floats(0.0, 60.0, allow_subnormal=False),
+                               min_size=n_zones ** 2, max_size=n_zones ** 2))
+        cost = st.floats(0.0, 40.0, allow_subnormal=False)
+        scen = make_scenario(np.reshape(demand, (n_zones, n_zones)), mapping,
+                             {z: 0.0 for z in zones}, cwz=draw(cost),
+                             ciz=draw(cost), drift=draw(st.floats(-0.1, 0.2)),
+                             discount=draw(st.floats(0.0, 0.3)))
+        paths = simulate_paths(scen, 4, seed=draw(st.integers(0, 2**16)))
+        steps = [scen.base_demand] + list(paths.values[0])
+        for order in itertools.permutations(candidates):
+            prev = [cumulative_ridership((), d, scen, covered) for d in steps]
+            payoff = []
+            for h in range(1, len(order) + 1):
+                cur = [cumulative_ridership(order[:h], d, scen, covered)
+                       for d in steps]
+                thr = payoff_threshold(h, scen, len(covered))
+                payoff.append([c - p - thr for c, p in zip(cur, prev)])
+                prev = cur
+            expected = compound_schedule_optimum(payoff, scen.horizon_steps,
+                                                 scen.discount_rate)
+            got = valuate_sequence(Sequence(order), paths, scen,
+                                   covered=covered).policy_value
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-9), order
 
     def test_sigma_zero_value_dominates_invest_all_npv(self):
         from zoneinvest.policy import deterministic_npv

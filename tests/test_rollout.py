@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zoneinvest.policy import CR, CR_RNN
+from zoneinvest.ridership import cumulative_ridership
 from zoneinvest.rollout import (INVEST_ALL, compare_rollouts, paired_t_test,
                                 rollout_report, run_rollout, t_critical)
 from zoneinvest.scenario import generate_synthetic_scenario
+from zoneinvest.stochastic import simulate_paths
 
 from conftest import make_scenario
-from oracles import paired_t_by_hand
+from oracles import paired_t_by_hand, realized_totals
 
 
 class TestPairedTTest:
@@ -149,6 +152,31 @@ class TestRollout:
         with pytest.raises(ValueError):
             run_rollout(scen, n_paths=1, n_epochs=1, seed=1,
                         policy_kind="other")
+
+
+@pytest.mark.parametrize("scen, kw", [
+    (generate_synthetic_scenario(6, 4, 2, 90.0),
+     dict(n_paths=3, n_epochs=3, seed=4, policy_kind=CR, inner_paths=40)),
+    (generate_synthetic_scenario(9, 3, 2, 100.0),
+     dict(n_paths=2, n_epochs=3, seed=7, policy_kind=INVEST_ALL,
+          initial_covered=("z02",))),
+    (make_scenario(np.zeros((2, 2)), {"a1": "A", "b1": "B"},
+                   {"A": 0.1, "B": 0.2}),
+     dict(n_paths=1, n_epochs=3, seed=5, policy_kind=INVEST_ALL)),
+], ids=["cr", "invest-all-covered", "zero-demand"])
+def test_epoch_totals_match_the_prefix_walk(scen, kw):
+    res = run_rollout(scen, **kw)
+    outer = simulate_paths(
+        replace(scen, horizon_steps=tuple(
+            float(e) for e in range(1, kw["n_epochs"] + 1))),
+        kw["n_paths"], kw["seed"])
+    assert len(res.records) == kw["n_paths"] * kw["n_epochs"]
+    for r in res.records:
+        demand = outer.values[r.path, r.epoch - 1]
+        payoff, ridership = realized_totals(r.covered, demand, scen)
+        assert r.payoff == payoff
+        assert r.ridership == cumulative_ridership(r.covered, demand, scen)
+        assert abs(r.ridership - ridership) <= 2 * math.ulp(ridership)
 
 
 def test_report_round_trip_shape(tmp_path):

@@ -100,6 +100,28 @@ def test_nan_in_config_rejected(tmp_path):
         load_scenario(write_config(tmp_path, horizon_steps=[1, math.nan]))
 
 
+@pytest.mark.parametrize("override, field", [
+    ({"within_zone_cost": "auto"}, "within_zone_cost"),
+    ({"interzone_cost": [3.0]}, "interzone_cost"),
+    ({"gamma": "x"}, "gamma"),
+    ({"speed": "fast"}, "speed"),
+    ({"discount_rate": None}, "discount_rate"),
+    ({"zone_volatility": {"A": 0.2, "B": "hi"}}, "zone_volatility"),
+    ({"horizon_steps": [1, "two"]}, "horizon_steps"),
+    ({"horizon_steps": "135"}, "horizon_steps"),   # not read as (1, 3, 5)
+    ({"horizon_steps": 5}, "horizon_steps"),
+])
+def test_non_numeric_config_value_names_the_field(tmp_path, override, field):
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(write_config(tmp_path, **override))
+
+
+def test_given_cost_kept_when_the_other_is_derived(tmp_path):
+    scen = load_scenario(write_config(tmp_path, interzone_cost="derive"))
+    assert scen.within_zone_cost == 5.0
+    assert scen.interzone_cost == derive_cost_thresholds(scen)[1]
+
+
 def test_save_load_round_trip(tmp_path):
     scen = load_scenario(write_config(tmp_path))
     save_scenario(scen, tmp_path / "copy" / "scenario.json")
