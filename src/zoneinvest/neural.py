@@ -338,6 +338,9 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
         "epochs_run": history[-1][0], "best_epoch": best_epoch,
         "validation_fraction": validation_fraction,
         "best_val_loss": None if not len(val_idx) else float(best_val),
+        # 0 means early stopping picked the epoch on negatives alone
+        "validation_positives": (int(dataset.labels[val_idx].sum())
+                                 if head_kind == CLASSIFIER else None),
     }
     return model, history
 

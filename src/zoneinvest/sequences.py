@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ENUMERATION_CAP = 9  # zones; 9! sequences is the memory bound
+ENUMERATION_CAP = 9  # zones; enumeration refuses more than this
 
 
 @dataclass(frozen=True)

@@ -352,9 +352,8 @@ def gathered_region_totals(zone_set, demand, scenario, covered=()):
 
 def per_path_gbm(scenario, n_paths, seed):
     """GBM demand paths built one path at a time from each path's own
-    generator (the library's counter-derived seeding)."""
-    from zoneinvest.stochastic import _path_rng
-
+    generator, seeded by numpy's ``SeedSequence`` with the path index as
+    spawn key."""
     sigma = scenario.sigma_by_origin()
     n = scenario.n_subzones
     deltas = np.diff(np.concatenate(([0.0], scenario.horizon_steps)))
@@ -362,7 +361,9 @@ def per_path_gbm(scenario, n_paths, seed):
     vol = sigma[None] * np.sqrt(deltas)[:, None, None]
     out = np.empty((n_paths, len(deltas), n, n))
     for p in range(n_paths):
-        z = _path_rng(seed, p).standard_normal((len(deltas), n, n))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(p,)))
+        z = rng.standard_normal((len(deltas), n, n))
         out[p] = scenario.base_demand[None] * np.exp(
             np.cumsum(drift + vol * z, axis=0))
     return out

@@ -64,6 +64,20 @@ def test_failure_emits_machine_readable_error(tmp_path, capsys):
     assert "missing.json" in block["error"]["message"]
 
 
+@pytest.mark.parametrize("command, seed", [
+    (["simulate", "--paths", "3"], "-1"),
+    (["rollout", "--outer-paths", "2", "--epochs", "1", "--policy", "cr",
+      "--inner-paths", "10"], "-3"),
+])
+def test_negative_seed_named_in_error(tmp_path, scen3, capsys, command, seed):
+    code = main(command + ["--scenario", str(scen3), "--seed", seed,
+                           "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"]["message"] == \
+        f"seed must be a non-negative integer, got {seed}"
+
+
 def test_scenario_gen_round_trips(tmp_path, capsys):
     out = tmp_path / "gen" / "scenario.json"
     assert main(["scenario", "gen", "--seed", "4", "--zones", "3",

@@ -305,6 +305,14 @@ class TestTraining:
         b = forward(model, Sequence(("b", "a", "c", "d", "e")))
         assert a != b
 
+    @pytest.mark.parametrize("n_positive, expected", [(2, 0), (5, 1)])
+    def test_validation_positives_reported(self, n_positive, expected):
+        # 0.2 of two positives rounds to none held out
+        seqs = enumerate_sequences(tuple("abcd"))[:20]
+        ds = make_labeled(seqs, [1] * n_positive + [0] * (20 - n_positive))
+        model, _ = train(ds, emb_size=4, batch_size=8, max_epochs=2, seed=6)
+        assert model.training_meta["validation_positives"] == expected
+
     def test_regressor_trains_on_normalized_values(self):
         seqs = enumerate_sequences(tuple("abcd"))[:16]
         values = np.linspace(10.0, 40.0, 16)
@@ -314,6 +322,7 @@ class TestTraining:
                                head_kind=REGRESSOR)
         assert model.target_norm == (ds.norm_mean, ds.norm_std)
         assert history[-1][1] < history[0][1]
+        assert model.training_meta["validation_positives"] is None
 
 
 class TestRanking:
@@ -422,10 +431,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert again.vocab == model.vocab
     assert again.head_kind == model.head_kind
     assert again.target_norm == model.target_norm
+    assert again.training_meta == model.training_meta
+    assert again.training_meta["validation_positives"] == 1
     for name in model.params:
         assert np.array_equal(again.params[name], model.params[name])
     for seq in ds.sequences[:5]:
         assert forward(again, seq) == forward(model, seq)
+
+
+def test_checkpoint_without_validation_positives_loads(tmp_path):
+    ds = separable_dataset()
+    model, _ = train(ds, emb_size=4, batch_size=8, max_epochs=1, seed=11)
+    save_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    del doc["training_meta"]["validation_positives"]
+    (tmp_path / "old.json").write_text(json.dumps(doc))
+    again = load_model(tmp_path / "old.json")
+    assert "validation_positives" not in again.training_meta
+    assert again.training_meta["best_epoch"] == model.training_meta["best_epoch"]
 
 
 def test_per_gate_checkpoint_rejected_naming_both_formats(tmp_path):

@@ -2,12 +2,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zoneinvest.scenario import generate_synthetic_scenario
-from zoneinvest.stochastic import dump_paths, load_paths, simulate_paths
+from zoneinvest.stochastic import (_path_states, dump_paths, load_paths,
+                                   simulate_paths)
 
 from conftest import make_scenario, single_od_scenario
 from oracles import per_path_gbm
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# Seeds on and across the 32-bit word boundaries of SeedSequence's entropy,
+# including more than the four words its pool holds, and numpy integers.
+SEEDS = st.one_of(
+    st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128 - 1, 2 ** 128,
+                     2 ** 200 + 11]),
+    st.integers(0, 2 ** 32 - 1).map(np.uint32),
+    st.integers(0, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 2 ** 320),
+)
 
 
 def test_zero_volatility_zero_drift_is_constant():
@@ -83,6 +100,40 @@ def test_stacked_pass_equals_per_path_loop(n_zones, drift):
                    drift=drift)
     assert np.array_equal(simulate_paths(scen, 40, seed=7).values,
                           per_path_gbm(scen, 40, 7))
+
+
+@PROPERTY
+@given(seed=SEEDS, n_paths=st.integers(1, 50))
+def test_derived_states_equal_seed_sequence(seed, n_paths):
+    states = _path_states(seed, n_paths)
+    assert len(states) == n_paths
+    for p, (state, inc) in enumerate(states):
+        want = np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(p,))).state["state"]
+        assert (state, inc) == (want["state"], want["inc"])
+
+
+SMALL = generate_synthetic_scenario(3, 2, 2, 100.0)
+
+
+@PROPERTY
+@given(seed=SEEDS, n_paths=st.integers(1, 50))
+def test_paths_equal_per_path_loop_for_any_seed(seed, n_paths):
+    assert np.array_equal(simulate_paths(SMALL, n_paths, seed).values,
+                          per_path_gbm(SMALL, n_paths, seed))
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+def test_negative_seed_named_in_error(two_zone, seed):
+    with pytest.raises(ValueError,
+                       match="seed must be a non-negative integer, got -1"):
+        simulate_paths(two_zone, 3, seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", None])
+def test_non_integer_seed_rejected(two_zone, seed):
+    with pytest.raises(TypeError, match="seed must be a non-negative integer"):
+        simulate_paths(two_zone, 3, seed)
 
 
 def test_n_paths_validated(two_zone):
