@@ -135,18 +135,36 @@ def continuation_fit(states, targets, j: int = DEFAULT_BASIS_SIZE):
     return basis, fitted[0]
 
 
+def _blend(fill, a, b, out, spare):
+    """Write ``np.where(fill, a, b)`` into ``out``, bit for bit, as
+    ``b ^ ((a ^ b) & fill)`` on int64 views.
+
+    ``fill`` is int64: -1 (every bit set) takes ``a``, 0 keeps ``b``; ``a``
+    may be an integer scalar.  numpy's masked selects branch per element and
+    mispredict on the near-random exercise masks; this takes no branch.
+    ``spare`` receives ``a ^ b``; it may be ``out`` when ``out`` is not ``b``.
+    """
+    bits = spare.view(np.int64)
+    np.bitwise_xor(np.asarray(a).view(np.int64), b.view(np.int64), out=bits)
+    bits &= fill
+    np.bitwise_xor(b.view(np.int64), bits, out=out.view(np.int64))
+
+
 def _exercise(payoffs, continuation, deferral, exercise, chained):
     """Walk down the chain as if every earlier position exercised: h
     exercises where its payoff plus h+1's walked value is at least
     ``continuation[h]``, and walks on with that sum there and with
     ``deferral[h]`` elsewhere (into ``chained[h]``).  A deferral at h blocks
     every later position, so ``exercise[h]`` ends true only where positions
-    1..h all exercise."""
+    1..h all exercise.  ``payoffs`` is overwritten."""
     tail = 0.0
     for h in range(len(payoffs) - 1, -1, -1):
         now = payoffs[h] + tail
         np.greater_equal(now, continuation[h], out=exercise[h])
-        tail = chained[h] = np.where(exercise[h], now, deferral[h])
+        fill = payoffs[h].view(np.int64)
+        np.negative(exercise[h], dtype=np.int64, out=fill)
+        _blend(fill, now, deferral[h], chained[h], chained[h])
+        tail = chained[h]
     for h in range(1, len(payoffs)):
         exercise[h] &= exercise[h - 1]
 
@@ -225,14 +243,19 @@ def valuate_sequences(orders, cache: RidershipCache,
                 states[n], waiting.reshape(-1, n_paths), j, key_of.ravel())
             phi = phi.reshape(shape)
             deficient += step_deficient
-        _exercise(states[n][key_of] - thresholds[:, None, None], phi, waiting,
-                  exercise, chained)
+        payoffs = states[n][key_of] - thresholds[:, None, None]
+        _exercise(payoffs, phi, waiting, exercise, chained)
         # A path takes the walked value at h only where positions 1..h all
-        # exercise; elsewhere h keeps its next-step state.
+        # exercise; elsewhere h keeps its next-step state.  The fit and the
+        # payoffs are spent, so they hold the blend's mask and spare.
+        fill = phi.view(np.int64)
+        np.negative(exercise, dtype=np.int64, out=fill)
+        for kept, taken in ((waiting, chained), (cash, chained), (tau, n)):
+            _blend(fill, taken, kept, kept, payoffs)
+        # Free the payoffs and the fit (``fill`` views it), so that the next
+        # step's arrays do not stack on them.
+        del payoffs, phi, fill
         value = waiting
-        np.copyto(value, chained, where=exercise)
-        np.copyto(cash, chained, where=exercise)
-        np.copyto(tau, n, where=exercise)
 
     # Option value at t0: discounted value at each path's stopping time,
     # zero for paths that never exercise.

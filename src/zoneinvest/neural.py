@@ -244,7 +244,7 @@ def score_and_rank(model: LstmModel, candidates, k: int):
 def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
           batch_size: int = 32, max_epochs: int = 300, seed: int = 0,
           validation_fraction: float = 0.2, patience: int = 20,
-          head_kind: str = CLASSIFIER):
+          head_kind: str = CLASSIFIER, track_train_loss: bool = True):
     """Train a classifier (BCE on labels) or regressor (MSE on standardized
     values) with Adam and BPTT.
 
@@ -253,6 +253,9 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
     improvement); 0 disables the split and returns the final parameters.
     Deterministic per seed.  Returns ``(model, history)`` where history rows
     are (epoch, train_loss, val_loss) and epoch 0 is the pre-training loss.
+    Only the history reads the training-set loss: ``track_train_loss=False``
+    skips that full forward after every epoch and leaves the column None;
+    the model is the same.
     """
     seqs = dataset.sequences
     if head_kind == CLASSIFIER:
@@ -298,7 +301,7 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
 
     def losses():
         return (_batch_loss(params, idx_all[train_idx], targets[train_idx],
-                            head_kind),
+                            head_kind) if track_train_loss else None,
                 _batch_loss(params, idx_all[val_idx], targets[val_idx],
                             head_kind) if len(val_idx) else None)
 

@@ -41,8 +41,9 @@ SMALL_H_FALLBACK = 6  # candidate counts at or below this use plain CR
 # Orderings per LSMC recursion.  A batch holds [H, batch, P] work arrays,
 # states per distinct (prefix set, zone) and the stacked fit's temporaries,
 # so peak memory grows with it.  Neighbouring orderings share designs, so
-# larger batches fit fewer per ordering: one H=7, P=300 CR call took ~6.0,
-# 4.6, 3.6, 3.2 and 3.6 s at sizes 4, 8, 16, 32 and 64.
+# larger batches fit fewer per ordering: one H=7, P=300 CR call took ~4.8,
+# 3.4, 3.0, 3.0 and 3.0 s at sizes 4, 8, 16, 32 and 64 (medians of 3 in one
+# warm process, BLAS 1 thread, 2 vCPUs).
 BATCH_SIZE = 16
 
 
@@ -58,6 +59,9 @@ class PolicyResult:
     wall_time: float = field(compare=False)
     tables: dict[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
     degenerate_labeling: bool = False
+    # Positives in the trained model's validation split; 0 means early
+    # stopping picked its epoch on negatives alone.  None when nothing trained.
+    validation_positives: int | None = None
     model: LstmModel | None = field(default=None, compare=False, repr=False)
     dataset: LabeledDataset | None = field(default=None, compare=False, repr=False)
 
@@ -151,6 +155,8 @@ def _finish(mode, tables, scenario, covered, t_start, dataset=None,
                 for name, rows in tables.items()},
         degenerate_labeling=dataset is not None and (
             dataset.forced_positive or dataset.degenerate_fit),
+        validation_positives=None if model is None
+        else model.training_meta["validation_positives"],
         model=model,
         dataset=dataset,
     )
@@ -185,7 +191,7 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
         raise ValueError("k must be >= 1")
     # Settings train would reject fail here too, also when it never runs.
     inspect.signature(train).bind(None, seed=seed, head_kind=CLASSIFIER,
-                                  **train_options)
+                                  track_train_loss=False, **train_options)
     t0 = time.perf_counter()
     covered = frozenset(covered)
     candidates = sorted(set(scenario.zones) - covered)
@@ -204,8 +210,9 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
         return _finish(CR_RNN, tables, scenario, covered, t0, dataset)
 
     try:
+        # The history is dropped, so its training-set loss pass is skipped.
         model, _ = train(dataset, seed=train_seed, head_kind=CLASSIFIER,
-                         **train_options)
+                         track_train_loss=False, **train_options)
     except Exception as exc:
         raise RuntimeError(
             f"CR-RNN classifier training failed on {len(sampled)} sampled "
@@ -270,7 +277,10 @@ def report(result: PolicyResult, out, config: dict | None = None) -> Path:
 
 def load_report(path) -> PolicyResult:
     doc = json.loads(Path(path).read_text())
-    pol = {name: doc["policy"][name] for name in _POLICY_FIELDS}
+    pol = {name: doc["policy"][name] for name in _POLICY_FIELDS
+           if name != "validation_positives"}
+    # Reports written before the field existed load as "unknown".
+    pol["validation_positives"] = doc["policy"].get("validation_positives")
     pol["best_sequence"] = Sequence.parse(pol["best_sequence"])
     return PolicyResult(**pol, tables={name: tuple((s, v) for s, v in rows)
                                        for name, rows in doc["tables"].items()})

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermevander
 
 from zoneinvest import policy
-from zoneinvest.lsmc import (DEFAULT_BASIS_SIZE, DEFER, NEVER, _fit_rows,
-                             continuation_fit, valuate_sequence,
+from zoneinvest.lsmc import (DEFAULT_BASIS_SIZE, DEFER, NEVER, _blend,
+                             _fit_rows, continuation_fit, valuate_sequence,
                              valuate_sequences)
 from zoneinvest.ridership import RidershipCache
 from zoneinvest.scenario import generate_synthetic_scenario
@@ -33,6 +33,16 @@ J = DEFAULT_BASIS_SIZE
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+# Raw float64 bit patterns numpy's select must carry through unchanged:
+# +-0.0, +-inf, quiet and signalling NaNs with payloads, subnormals and the
+# extremes, as the int64 words that hold them.
+SPECIAL_BITS = [int(np.array(x).view(np.int64)) for x in (
+    0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308,
+    np.finfo(float).max, -np.finfo(float).tiny)] + [
+    0x7FF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0001,
+    -0x0007000000000001, -0x0000000000000001, NEVER]
 
 
 def doubled(paths):
@@ -77,6 +87,36 @@ def problems(draw, volatility=None, worthless=False, n_zones=None):
     seqs = [Sequence(p) for p in
             itertools.permutations(sorted(set(zones) - covered))]
     return scen, paths, covered, seqs
+
+
+@st.composite
+def selects(draw):
+    """``(mask, a, b)`` for one select: ``a`` and ``b`` are float64 or int64
+    arrays built from raw bit patterns, or ``a`` an integer scalar."""
+    n = draw(st.integers(0, 40))
+    words = st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                               st.sampled_from(SPECIAL_BITS)),
+                     min_size=n, max_size=n)
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                    dtype=bool)
+    b = np.array(draw(words), dtype=np.int64).view(dtype)
+    if dtype is np.int64 and draw(st.booleans()):
+        a = draw(st.integers(-2**63, 2**63 - 1))
+    else:
+        a = np.array(draw(words), dtype=np.int64).view(dtype)
+    return mask, a, b
+
+
+@PROPERTY
+@given(selects())
+def test_blend_equals_where_bit_for_bit(select):
+    mask, a, b = select
+    expected = np.where(mask, a, b)
+    assert expected.dtype == b.dtype
+    fill = np.negative(mask, dtype=np.int64)
+    _blend(fill, a, b, b, np.empty_like(b))    # in place, as the recursion does
+    assert b.tobytes() == expected.tobytes()
 
 
 def assert_same(val, other):

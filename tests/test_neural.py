@@ -274,6 +274,18 @@ class TestTraining:
         losses = [h[1] for h in history]
         assert max(losses) - min(losses) == 0.0
 
+    def test_untracked_train_loss_leaves_the_model_unchanged(self):
+        seqs = enumerate_sequences(tuple("abcd"))[:20]
+        ds = make_labeled(seqs, [1] * 5 + [0] * 15)
+        kw = dict(emb_size=8, batch_size=4, max_epochs=30, patience=3, seed=7)
+        m1, h1 = train(ds, **kw)
+        m2, h2 = train(ds, track_train_loss=False, **kw)
+        for name in m1.params:
+            assert np.array_equal(m1.params[name], m2.params[name])
+        assert m1.training_meta == m2.training_meta
+        assert [(e, v) for e, _, v in h1] == [(e, v) for e, _, v in h2]
+        assert all(t is None for _, t, _ in h2)
+
     def test_single_class_rejected(self):
         seqs = enumerate_sequences(("a", "b", "c"))
         with pytest.raises(ValueError, match="class"):

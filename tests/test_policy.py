@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +140,7 @@ def test_full_sample_reproduces_cr_argmax(small, monkeypatch):
     assert rnn.best_value == cr.best_value
     assert rnn.evaluated_count == 6
     assert "top_k" not in rnn.tables
+    assert rnn.validation_positives is None  # nothing left to rank: no training
 
 
 @pytest.mark.parametrize("option", [{"head_kind": "relu-regressor"},
@@ -213,10 +215,12 @@ def test_report_round_trip(tmp_path, small):
     res = cr_policy(scen, paths)
     out = report(res, tmp_path / "cr.json", config={"seed": 2})
     assert load_report(out) == res
-    assert sorted(json.loads(out.read_text())["policy"]) == [
+    pol = json.loads(out.read_text())["policy"]
+    assert sorted(pol) == [
         "best_sequence", "best_value", "decisions", "degenerate_labeling",
         "evaluated_count", "mode", "npv_deterministic", "option_premium",
-        "wall_time"]
+        "validation_positives", "wall_time"]
+    assert pol["validation_positives"] is None
     rows = (tmp_path / "cr.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 6  # header + H! sequences
 
@@ -230,3 +234,34 @@ def test_cr_rnn_report_row_count(tmp_path):
     rows = (tmp_path / "rnn.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + round(0.02 * 5040) + 10
     assert load_report(tmp_path / "rnn.json") == res
+
+
+def test_report_without_validation_positives_loads(tmp_path):
+    # Reports written before the field existed lack the key: it loads as
+    # None, "unknown", and every other field as written.
+    scen = generate_synthetic_scenario(1, 7, 3, 100.0)
+    paths = simulate_paths(scen, 30, seed=5)
+    res = cr_rnn_policy(scen, paths, frac_seq=0.02, pnr_max=0.05, k=10,
+                        seed=3, max_epochs=10)
+    assert res.validation_positives is not None
+    out = report(res, tmp_path / "rnn.json")
+    doc = json.loads(out.read_text())
+    del doc["policy"]["validation_positives"]
+    out.write_text(json.dumps(doc))
+    assert load_report(out) == replace(res, validation_positives=None)
+
+
+def test_forced_positive_run_reports_no_validation_positives(tmp_path):
+    # The north-star CR-RNN run: the ratio rule admits no sampled ordering,
+    # so the top-1 is forced positive and lands in the training split.
+    scen = generate_synthetic_scenario(1, 7, 3, 100.0)
+    paths = simulate_paths(scen, 300, seed=11)
+    res = cr_rnn_policy(scen, paths, frac_seq=0.06, pnr_max=0.01, k=50, seed=0)
+    assert res.dataset.forced_positive
+    assert res.degenerate_labeling
+    assert res.validation_positives == 0
+    assert res.validation_positives == \
+        res.model.training_meta["validation_positives"]
+    out = report(res, tmp_path / "rnn.json")
+    assert json.loads(out.read_text())["policy"]["validation_positives"] == 0
+    assert load_report(out) == res
