@@ -30,8 +30,8 @@ print(f"estimated population best {ds.eta_ub:.1f}, threshold {ds.eta_thr:.1f}"
       f" -> {ds.n_positive} positives / {ds.n_negative} negatives "
       f"(cutoff {ds.eta_bin:.1f})")
 
-model, history = train(ds, emb_size=32, seed=0)
-print(f"trained {history[-1][0]} epochs, "
+model, _ = train(ds, emb_size=32, seed=0)
+print(f"trained {model.training_meta['epochs_run']} epochs, "
       f"best validation at epoch {model.training_meta['best_epoch']}")
 
 # ground-truth the unseen pool to measure retrieval quality

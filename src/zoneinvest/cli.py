@@ -199,11 +199,12 @@ def _dispatch(args) -> None:
     if args.command == "train":
         ds = labeling.load_labeled(args.labeled)
         head = neural.CLASSIFIER if args.head == "classifier" else neural.REGRESSOR
-        model, history = neural.train(ds, seed=args.seed, head_kind=head,
-                                      **_train_kwargs(args))
+        model, _ = neural.train(ds, seed=args.seed, head_kind=head,
+                                **_train_kwargs(args))
         neural.save_model(model, args.out)
-        log.info("trained %d epochs (best %s)", history[-1][0],
-                 model.training_meta.get("best_epoch"))
+        log.info("trained %d epochs (best %s)",
+                 model.training_meta["epochs_run"],
+                 model.training_meta["best_epoch"])
         return
     if args.command == "evaluate":
         model = neural.load_model(args.model)

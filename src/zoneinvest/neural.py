@@ -244,7 +244,7 @@ def score_and_rank(model: LstmModel, candidates, k: int):
 def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
           batch_size: int = 32, max_epochs: int = 300, seed: int = 0,
           validation_fraction: float = 0.2, patience: int = 20,
-          head_kind: str = CLASSIFIER, track_train_loss: bool = True):
+          head_kind: str = CLASSIFIER):
     """Train a classifier (BCE on labels) or regressor (MSE on standardized
     values) with Adam and BPTT.
 
@@ -252,10 +252,8 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
     the best epoch (early stop after ``patience`` epochs without
     improvement); 0 disables the split and returns the final parameters.
     Deterministic per seed.  Returns ``(model, history)`` where history rows
-    are (epoch, train_loss, val_loss) and epoch 0 is the pre-training loss.
-    Only the history reads the training-set loss: ``track_train_loss=False``
-    skips that full forward after every epoch and leaves the column None;
-    the model is the same.
+    are (epoch, val_loss), val_loss None without a split, and epoch 0 is
+    the pre-training loss.
     """
     seqs = dataset.sequences
     if head_kind == CLASSIFIER:
@@ -299,15 +297,13 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
     m, v = np.zeros(theta.size), np.zeros(theta.size)
     n_updates = 0
 
-    def losses():
-        return (_batch_loss(params, idx_all[train_idx], targets[train_idx],
-                            head_kind) if track_train_loss else None,
-                _batch_loss(params, idx_all[val_idx], targets[val_idx],
+    def validation_loss():
+        return (_batch_loss(params, idx_all[val_idx], targets[val_idx],
                             head_kind) if len(val_idx) else None)
 
-    history = [(0, *losses())]
+    history = [(0, validation_loss())]
     best = theta.copy()
-    best_val = history[0][2] if len(val_idx) else np.inf
+    best_val = history[0][1] if len(val_idx) else np.inf
     best_epoch = 0
     for epoch in range(1, max_epochs + 1):
         order = rng.permutation(train_idx)
@@ -327,23 +323,25 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
             step = lr * (m / (1 - b1 ** n_updates))
             step /= np.sqrt(v / (1 - b2 ** n_updates)) + eps
             theta -= step
-        history.append((epoch, *losses()))
-        val_loss = history[-1][2]
+        val_loss = validation_loss()
+        history.append((epoch, val_loss))
         if not len(val_idx):
-            best, best_epoch = theta, epoch
+            best, best_epoch = theta.copy(), epoch
         elif val_loss < best_val:
             best, best_val, best_epoch = theta.copy(), val_loss, epoch
         elif epoch - best_epoch >= patience:
             break
-    model.params = _views(best.copy(), shapes)
+    model.params = _views(best, shapes)
     model.training_meta = {
         "seed": seed, "lr": lr, "batch_size": batch_size,
         "epochs_run": history[-1][0], "best_epoch": best_epoch,
         "validation_fraction": validation_fraction,
         "best_val_loss": None if not len(val_idx) else float(best_val),
-        # 0 means early stopping picked the epoch on negatives alone
+        # 0 means early stopping picked the epoch on negatives alone;
+        # None without a split or for the regressor
         "validation_positives": (int(dataset.labels[val_idx].sum())
-                                 if head_kind == CLASSIFIER else None),
+                                 if head_kind == CLASSIFIER and len(val_idx)
+                                 else None),
     }
     return model, history
 

@@ -41,9 +41,7 @@ SMALL_H_FALLBACK = 6  # candidate counts at or below this use plain CR
 # Orderings per LSMC recursion.  A batch holds [H, batch, P] work arrays,
 # states per distinct (prefix set, zone) and the stacked fit's temporaries,
 # so peak memory grows with it.  Neighbouring orderings share designs, so
-# larger batches fit fewer per ordering: one H=7, P=300 CR call took ~4.8,
-# 3.4, 3.0, 3.0 and 3.0 s at sizes 4, 8, 16, 32 and 64 (medians of 3 in one
-# warm process, BLAS 1 thread, 2 vCPUs).
+# larger batches fit fewer per ordering.
 BATCH_SIZE = 16
 
 
@@ -60,7 +58,8 @@ class PolicyResult:
     tables: dict[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
     degenerate_labeling: bool = False
     # Positives in the trained model's validation split; 0 means early
-    # stopping picked its epoch on negatives alone.  None when nothing trained.
+    # stopping picked its epoch on negatives alone.  None when nothing
+    # trained or training had no split.
     validation_positives: int | None = None
     model: LstmModel | None = field(default=None, compare=False, repr=False)
     dataset: LabeledDataset | None = field(default=None, compare=False, repr=False)
@@ -105,8 +104,10 @@ def _value_all(seqs, cache, j, workers) -> list:
     zone order, so a batch's neighbours share (prefix set, zone) designs,
     and mapped back; a value does not depend on its batch.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ordered = sorted(seqs, key=lambda s: s.order)
-    if workers <= 1:
+    if workers == 1:
         valued = _value_batches(ordered, cache, j)
     else:
         chunk = max(1, len(ordered) // (workers * 8))
@@ -191,7 +192,7 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
         raise ValueError("k must be >= 1")
     # Settings train would reject fail here too, also when it never runs.
     inspect.signature(train).bind(None, seed=seed, head_kind=CLASSIFIER,
-                                  track_train_loss=False, **train_options)
+                                  **train_options)
     t0 = time.perf_counter()
     covered = frozenset(covered)
     candidates = sorted(set(scenario.zones) - covered)
@@ -210,9 +211,8 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
         return _finish(CR_RNN, tables, scenario, covered, t0, dataset)
 
     try:
-        # The history is dropped, so its training-set loss pass is skipped.
         model, _ = train(dataset, seed=train_seed, head_kind=CLASSIFIER,
-                         track_train_loss=False, **train_options)
+                         **train_options)
     except Exception as exc:
         raise RuntimeError(
             f"CR-RNN classifier training failed on {len(sampled)} sampled "

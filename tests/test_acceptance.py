@@ -26,7 +26,7 @@ from conftest import make_scenario, single_od_scenario
 from oracles import (binomial_option_value, bisect_ridership_root,
                      compound_schedule_optimum, finite_difference_grads,
                      paired_t_by_hand)
-from test_neural import make_labeled
+from test_neural import make_labeled, training_loss
 
 
 def record(criterion: int, ok: bool, detail: str):
@@ -201,11 +201,11 @@ def test_07_overfit_sanity():
     seqs = enumerate_sequences(tuple("abcde"))[::6][:20]
     labels = [1 if s.order[0] == "a" else 0 for s in seqs]
     ds = make_labeled(seqs, labels)
-    model, history = train(ds, emb_size=16, lr=1e-3, batch_size=4,
-                           max_epochs=300, seed=1, validation_fraction=0.0)
-    bce = history[-1][1]
+    model, _ = train(ds, emb_size=16, lr=1e-3, batch_size=4,
+                     max_epochs=300, seed=1, validation_fraction=0.0)
+    bce = training_loss(model, ds)
     train_auc = auc(scores(model, ds.sequences), ds.labels)
-    epochs = history[-1][0]
+    epochs = model.training_meta["epochs_run"]
     elapsed = time.perf_counter() - start
     record(7, train_auc == 1.0 and bce < 0.05 and epochs <= 300
            and elapsed < 30.0,

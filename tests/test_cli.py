@@ -215,6 +215,16 @@ def test_workers_env_override(tmp_path, scen3, monkeypatch):
     assert out.exists()
 
 
+def test_workers_below_one_exits_1_without_report(tmp_path, scen3, capsys):
+    out = tmp_path / "cr.json"
+    assert main(["cr", "--scenario", str(scen3), "--paths", "10",
+                 "--workers", "-3", "--out", str(out)]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {"type": "ValueError",
+                              "message": "workers must be >= 1, got -3"}
+    assert list(tmp_path.glob("cr.*")) == []
+
+
 @pytest.fixture(scope="module")
 def chain_inputs(tmp_path_factory):
     """Scenario, cr value table, labeled sample and model to feed commands."""

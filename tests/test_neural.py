@@ -36,6 +36,17 @@ def make_labeled(seqs, labels, values=None):
         forced_positive=False, degenerate_fit=False)
 
 
+def training_loss(model, ds):
+    """``model``'s loss over all of ``ds``, the targets as train forms them."""
+    if model.head_kind == CLASSIFIER:
+        targets = ds.labels.astype(float)
+    else:
+        mean, std = model.target_norm
+        targets = (ds.values - mean) / std
+    return neural._batch_loss(model.params, model.zone_indices(ds.sequences),
+                              targets, model.head_kind)
+
+
 def zero_params(model):
     for name in model.params:
         model.params[name] = np.zeros_like(model.params[name])
@@ -251,40 +262,31 @@ def separable_dataset():
 class TestTraining:
     def test_overfits_separable_sequences(self):
         ds = separable_dataset()
-        model, history = train(ds, emb_size=16, lr=1e-3, batch_size=4,
-                               max_epochs=300, seed=1, validation_fraction=0.0)
-        final_bce = history[-1][1]
-        assert final_bce < 0.05
+        model, _ = train(ds, emb_size=16, lr=1e-3, batch_size=4,
+                         max_epochs=300, seed=1, validation_fraction=0.0)
+        assert training_loss(model, ds) < 0.05
         assert auc(scores(model, ds.sequences), ds.labels) == 1.0
 
     def test_loss_decreases_on_first_epoch(self):
         ds = separable_dataset()
-        _, history = train(ds, emb_size=8, lr=1e-3, batch_size=4,
-                           max_epochs=1, seed=2, validation_fraction=0.0)
-        assert history[1][1] < history[0][1]
+        kw = dict(emb_size=8, lr=1e-3, batch_size=4, seed=2,
+                  validation_fraction=0.0)
+        initial, _ = train(ds, max_epochs=0, **kw)
+        model, history = train(ds, max_epochs=1, **kw)
+        assert history == [(0, None), (1, None)]
+        assert training_loss(model, ds) < training_loss(initial, ds)
 
     def test_zero_learning_rate_is_a_noop(self):
         ds = separable_dataset()
         model, history = train(ds, emb_size=8, lr=0.0, batch_size=4,
-                               max_epochs=3, seed=3, validation_fraction=0.0)
+                               max_epochs=3, seed=3)
         fresh = init_model(model.vocab, 8, CLASSIFIER,
                            seed=np.random.default_rng(3).integers(2 ** 31))
         for name in fresh.params:
             assert np.array_equal(model.params[name], fresh.params[name])
-        losses = [h[1] for h in history]
+        losses = [val_loss for _, val_loss in history]
+        assert len(losses) == 4
         assert max(losses) - min(losses) == 0.0
-
-    def test_untracked_train_loss_leaves_the_model_unchanged(self):
-        seqs = enumerate_sequences(tuple("abcd"))[:20]
-        ds = make_labeled(seqs, [1] * 5 + [0] * 15)
-        kw = dict(emb_size=8, batch_size=4, max_epochs=30, patience=3, seed=7)
-        m1, h1 = train(ds, **kw)
-        m2, h2 = train(ds, track_train_loss=False, **kw)
-        for name in m1.params:
-            assert np.array_equal(m1.params[name], m2.params[name])
-        assert m1.training_meta == m2.training_meta
-        assert [(e, v) for e, _, v in h1] == [(e, v) for e, _, v in h2]
-        assert all(t is None for _, t, _ in h2)
 
     def test_single_class_rejected(self):
         seqs = enumerate_sequences(("a", "b", "c"))
@@ -302,12 +304,18 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_last_state(self):
         ds = separable_dataset()
-        with pytest.raises(DivergenceError) as err:
-            train(ds, emb_size=8, lr=1e308, batch_size=4, max_epochs=5,
-                  seed=4, validation_fraction=0.0)
-        assert err.value.model is not None
-        assert all(np.all(np.isfinite(a))
-                   for a in err.value.model.params.values())
+        # The later two diverge at epochs 13 and 5.  The carried model is
+        # the last finite epoch's: had the diverging steps overwritten it in
+        # place, its parameters, or else its loss, would not be finite.
+        for lr, seed, max_epochs in ((1e308, 4, 5), (3e307, 0, 20),
+                                     (1e307, 3, 20)):
+            with pytest.raises(DivergenceError) as err:
+                train(ds, emb_size=8, lr=lr, batch_size=4,
+                      max_epochs=max_epochs, seed=seed,
+                      validation_fraction=0.0)
+            model = err.value.model
+            assert all(np.all(np.isfinite(a)) for a in model.params.values())
+            assert np.isfinite(training_loss(model, ds))
 
     def test_permutation_sensitivity_after_training(self):
         ds = separable_dataset()
@@ -317,23 +325,29 @@ class TestTraining:
         b = forward(model, Sequence(("b", "a", "c", "d", "e")))
         assert a != b
 
-    @pytest.mark.parametrize("n_positive, expected", [(2, 0), (5, 1)])
-    def test_validation_positives_reported(self, n_positive, expected):
+    @pytest.mark.parametrize("n_positive, fraction, expected", [
         # 0.2 of two positives rounds to none held out
+        pytest.param(2, 0.2, 0, id="2-0"),
+        pytest.param(5, 0.2, 1, id="5-1"),
+        pytest.param(5, 0.0, None, id="no-split")])
+    def test_validation_positives_reported(self, n_positive, fraction,
+                                           expected):
         seqs = enumerate_sequences(tuple("abcd"))[:20]
         ds = make_labeled(seqs, [1] * n_positive + [0] * (20 - n_positive))
-        model, _ = train(ds, emb_size=4, batch_size=8, max_epochs=2, seed=6)
+        model, _ = train(ds, emb_size=4, batch_size=8, max_epochs=2, seed=6,
+                         validation_fraction=fraction)
         assert model.training_meta["validation_positives"] == expected
 
     def test_regressor_trains_on_normalized_values(self):
         seqs = enumerate_sequences(tuple("abcd"))[:16]
         values = np.linspace(10.0, 40.0, 16)
         ds = make_labeled(seqs, [0] * 15 + [1], values=values)
-        model, history = train(ds, emb_size=8, batch_size=8, max_epochs=40,
-                               seed=5, validation_fraction=0.0,
-                               head_kind=REGRESSOR)
+        kw = dict(emb_size=8, batch_size=8, seed=5, validation_fraction=0.0,
+                  head_kind=REGRESSOR)
+        initial, _ = train(ds, max_epochs=0, **kw)
+        model, _ = train(ds, max_epochs=40, **kw)
         assert model.target_norm == (ds.norm_mean, ds.norm_std)
-        assert history[-1][1] < history[0][1]
+        assert training_loss(model, ds) < training_loss(initial, ds)
         assert model.training_meta["validation_positives"] is None
 
 

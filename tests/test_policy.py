@@ -96,6 +96,14 @@ def test_workers_do_not_change_results(small):
     assert seq_values == base
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_workers_below_one_rejected(small, workers):
+    scen, paths = small
+    with pytest.raises(ValueError,
+                       match=f"workers must be >= 1, got {workers}"):
+        cr_policy(scen, paths, workers=workers)
+
+
 def test_orderings_valued_in_zone_order_returned_in_input_order(
         small, monkeypatch):
     scen, paths = small
