@@ -169,6 +169,12 @@ def _exercise(payoffs, continuation, deferral, exercise, chained):
         exercise[h] &= exercise[h - 1]
 
 
+def _discount_at(tau, times, rho):
+    """(1 + rho)^-times[tau], and 0 where ``tau`` is NEVER: a lookup in the
+    step discounts with a 0 appended, the entry NEVER (-1) indexes."""
+    return np.append((1.0 + rho) ** (-times), 0.0)[tau]
+
+
 def valuate_sequences(orders, cache: RidershipCache,
                       j: int = DEFAULT_BASIS_SIZE) -> list[SequenceValuation]:
     """Value same-length investment sequences by multi-option LSMC, in one
@@ -213,8 +219,10 @@ def valuate_sequences(orders, cache: RidershipCache,
         for h, zone in enumerate(seq.order):
             key_of[h, s] = keys.setdefault((frozenset(seq.order[:h]), zone),
                                            len(keys))
-    # Look up every region's cumulative ridership before allocating the work
-    # arrays, so the large temporaries of a cache miss do not stack on them.
+    # Solve every missing region, then look them up, before allocating the
+    # work arrays, so the temporaries of the solves do not stack on them.
+    cache.fill(region for prefix, zone in keys
+               for region in (prefix, prefix | {zone}))
     totals = [(cache.cumulative(prefix), cache.cumulative(prefix | {zone}))
               for prefix, zone in keys]
     states = np.empty((n_steps, len(keys), n_paths))      # [T, K, P]
@@ -259,9 +267,7 @@ def valuate_sequences(orders, cache: RidershipCache,
 
     # Option value at t0: discounted value at each path's stopping time,
     # zero for paths that never exercise.
-    disc_at_tau = np.where(tau != NEVER,
-                           (1.0 + rho) ** (-times[np.maximum(tau, 0)]), 0.0)
-    value_t0 = (disc_at_tau * cash).sum(axis=-1) / n_paths   # [H, S]
+    value_t0 = (_discount_at(tau, times, rho) * cash).sum(axis=-1) / n_paths
 
     # t0 invest/defer sweep: invest when today's payoff plus the next
     # option's t0 value beats waiting; a deferral defers the whole tail.

@@ -255,6 +255,9 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
     are (epoch, val_loss), val_loss None without a split, and epoch 0 is
     the pre-training loss.
     """
+    if not 0.0 <= validation_fraction < 1.0:
+        raise ValueError("validation_fraction must be in [0, 1), got "
+                         f"{validation_fraction}")
     seqs = dataset.sequences
     if head_kind == CLASSIFIER:
         targets = dataset.labels.astype(float)

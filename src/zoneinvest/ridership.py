@@ -27,9 +27,12 @@ from .scenario import Scenario
 WAIT_TOL = 0.001      # minutes, convergence tolerance on TW
 MAX_ITERATIONS = 1000
 
-# Demand matrices per region gather in _region_totals: a chunk's gathered
-# sub-matrices and their product are the largest arrays a cache miss holds.
+# Demand matrices per region gather in _region_sums: a chunk's gathered
+# sub-matrices are the largest array a cache miss holds.
 REGION_CHUNK = 256
+# Regions per wait-time solve in RidershipCache.fill: the solve's work arrays
+# hold REGION_GROUP * (steps * paths + 1) slices.
+REGION_GROUP = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -74,32 +77,36 @@ def _iterate_wait(attracted_sum, init_total, scenario: Scenario):
     per-slice generalized-cost multiplier exp(-gamma*a_W*TW) entering the
     final ridership, plus totals, wait times and iteration counts.  Each
     slice stops on its own gap, so a slice behaves exactly as if run alone;
-    a slice still moving after ``MAX_ITERATIONS`` raises.
+    a slice still moving after ``MAX_ITERATIONS`` raises.  Every slice still
+    moving has run the same number of rounds, so the loop carries only those
+    slices and writes a slice's results out in the round it stops.
     """
-    attracted_sum = np.atleast_1d(np.asarray(attracted_sum, dtype=float))
-    m = attracted_sum.shape[0]
+    attracted = np.atleast_1d(np.asarray(attracted_sum, dtype=float))
     coeff = scenario.gamma * scenario.alpha_wait
-    tw = _wait_of(np.atleast_1d(np.asarray(init_total, dtype=float)), scenario.speed)
-    mult = np.ones(m)
     total = np.array(np.atleast_1d(init_total), dtype=float)
-    iters = np.zeros(m, dtype=int)
-    active = np.ones(m, dtype=bool)
-    while active.any():
-        if iters[active].min() >= MAX_ITERATIONS:
-            gaps = np.abs(_wait_of(attracted_sum[active] * np.exp(-coeff * tw[active]),
-                                   scenario.speed) - tw[active])
+    tw = _wait_of(total, scenario.speed)
+    mult = np.ones(len(total))
+    iters = np.zeros(len(total), dtype=int)
+    moving, wait = np.arange(len(total)), tw.copy()
+    rounds = 0
+    while len(moving):
+        if rounds >= MAX_ITERATIONS:
+            gaps = np.abs(_wait_of(attracted * np.exp(-coeff * wait),
+                                   scenario.speed) - wait)
             raise ConvergenceError(float(gaps.max()), MAX_ITERATIONS)
-        iters[active] += 1
-        mult_a = np.exp(-coeff * tw[active])
-        total_a = attracted_sum[active] * mult_a
+        rounds += 1
+        mult_a = np.exp(-coeff * wait)
+        total_a = attracted * mult_a
         tw_new = _wait_of(total_a, scenario.speed)
-        gap = np.abs(tw_new - tw[active])
-        mult[active] = mult_a
-        total[active] = total_a
-        tw[active] += tw_new - tw[active]
+        gap = np.abs(tw_new - wait)
+        wait += tw_new - wait
         done = gap < WAIT_TOL
-        idx_active = np.flatnonzero(active)
-        active[idx_active[done]] = False
+        if done.any():
+            at = moving[done]
+            mult[at], total[at], tw[at] = mult_a[done], total_a[done], wait[done]
+            iters[at] = rounds
+            going = ~done
+            moving, attracted, wait = moving[going], attracted[going], wait[going]
     return mult, total, tw, iters
 
 
@@ -158,38 +165,46 @@ def cumulative_ridership(zone_set, demand: np.ndarray, scenario: Scenario,
     """
     demand = np.asarray(demand, dtype=float)
     _check_demand(demand)
-    totals = _region_totals(zone_set, demand, scenario, covered)
+    idx = _region_index(zone_set, covered, scenario)
+    if idx is None:
+        totals = np.zeros(demand.shape[:-2])
+    else:
+        stack = demand.reshape(-1, *demand.shape[-2:])
+        attracted, raw = np.empty(len(stack)), np.empty(len(stack))
+        _region_sums(stack, idx, _cost_factor(scenario, idx), attracted, raw)
+        _, totals, _, _ = _iterate_wait(attracted, raw, scenario)
+        totals = totals.reshape(demand.shape[:-2])
     return float(totals) if totals.ndim == 0 else totals
 
 
-def _region_totals(zone_set, demand: np.ndarray, scenario: Scenario,
-                   covered) -> np.ndarray:
-    """:func:`cumulative_ridership` as an array, without the demand check:
-    callers pass demand they have checked to be >= 0.  The region is
-    gathered ``REGION_CHUNK`` matrices at a time, so the working set does
-    not grow with the stack."""
+def _region_index(zone_set, covered, scenario: Scenario) -> np.ndarray | None:
+    """Sub-zone indices of ``zone_set | covered``; None for an empty region."""
     zone_set = frozenset(zone_set)
     covered = frozenset(covered)
     overlap = zone_set & covered
     if overlap:
         raise ValueError(f"zone_set overlaps covered zones: {sorted(overlap)}")
     region = zone_set | covered
-    if not region:
-        return np.zeros(demand.shape[:-2])
-    idx = scenario.subzone_indices(region)
-    factor = _cost_factor(scenario, idx)
-    # A gather from two or more matrices puts the k x k axes outermost in
-    # memory, so each matrix's terms are summed one after another; a lone
-    # matrix is contiguous and summed pairwise.  Chunks of two or more
-    # matrices therefore sum exactly as one gather of the whole stack does.
-    stack = demand.reshape(-1, *demand.shape[-2:])
-    attracted, raw = np.empty(len(stack)), np.empty(len(stack))
+    return scenario.subzone_indices(region) if region else None
+
+
+def _region_sums(stack: np.ndarray, idx: np.ndarray, factor: np.ndarray,
+                 attracted: np.ndarray, raw: np.ndarray) -> None:
+    """Write sum_ij Q_ij * factor_ij and sum_ij Q_ij over region ``idx`` of
+    every matrix of ``stack`` [M, N, N] into ``attracted`` and ``raw`` [M].
+
+    The region is gathered ``REGION_CHUNK`` matrices at a time, so the
+    working set does not grow with the stack.  A gather from two or more
+    matrices puts the k x k axes outermost in memory, so each matrix's terms
+    are summed one after another; a lone matrix is contiguous and summed
+    pairwise.  Chunks of two or more matrices therefore sum exactly as one
+    gather of the whole stack does.
+    """
     for part in chunk_slices(len(stack), REGION_CHUNK):
         sub = stack[part, idx[:, None], idx[None, :]]
-        attracted[part] = (sub * factor).sum(axis=(-2, -1))
         raw[part] = sub.sum(axis=(-2, -1))
-    _, totals, _, _ = _iterate_wait(attracted, raw, scenario)
-    return totals.reshape(demand.shape[:-2])
+        sub *= factor
+        attracted[part] = sub.sum(axis=(-2, -1))
 
 
 def payoff_threshold(position_h: int, scenario: Scenario,
@@ -222,6 +237,9 @@ class RidershipCache:
     The cache is the whole valuation context: paths must span the scenario's
     horizon, and are checked once here (the scenario checks its base
     demand), so a miss solves without re-checking its selection.
+
+    ``misses`` counts the regions solved and ``hits`` the lookups served
+    from the memo.
     """
 
     def __init__(self, scenario: Scenario, demand_paths, covered=()):
@@ -234,6 +252,7 @@ class RidershipCache:
         self.paths = demand_paths
         self.covered = frozenset(covered)
         self._memo: dict[frozenset, tuple[np.ndarray, float]] = {}
+        self._factor = _cost_factor(scenario, None)
         self.hits = 0
         self.misses = 0
 
@@ -241,14 +260,49 @@ class RidershipCache:
         """(totals over [steps x paths], total at t0) for covered | prefix."""
         key = frozenset(prefix)
         got = self._memo.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        self.misses += 1
-        by_path = _region_totals(key, self.paths.values, self.scenario,
-                                 self.covered)  # [P,T]
-        out = (by_path.T.copy(),
-               float(_region_totals(key, self.scenario.base_demand,
-                                    self.scenario, self.covered)))
-        self._memo[key] = out
-        return out
+        if got is None:
+            self.fill([key])
+            return self._memo[key]
+        self.hits += 1
+        return got
+
+    def fill(self, prefixes) -> None:
+        """Solve the regions covered | prefix of every prefix not yet in the
+        memo, ``REGION_GROUP`` regions per wait-time solve.
+
+        Each region's sums are those :func:`cumulative_ridership` forms, and
+        every slice of the solve stops on its own gap, so the totals are the
+        same as solving each region alone.
+        """
+        todo = [k for k in dict.fromkeys(map(frozenset, prefixes))
+                if k not in self._memo]
+        for start in range(0, len(todo), REGION_GROUP):
+            self._solve(todo[start:start + REGION_GROUP])
+
+    def _solve(self, keys) -> None:
+        n_steps, n_paths = self.paths.n_steps, self.paths.n_paths
+        stack = self.paths.values.reshape(-1, *self.paths.values.shape[-2:])
+        base = self.scenario.base_demand[None]
+        # one row per region: the [P, T] stack's slices, then t0
+        attracted = np.empty((len(keys), len(stack) + 1))
+        raw = np.empty_like(attracted)
+        solved = []
+        for key in keys:
+            idx = _region_index(key, self.covered, self.scenario)
+            if idx is None:
+                self._memo[key] = (np.zeros((n_steps, n_paths)), 0.0)
+                continue
+            r = len(solved)
+            factor = self._factor[idx[:, None], idx]
+            _region_sums(stack, idx, factor, attracted[r, :-1], raw[r, :-1])
+            _region_sums(base, idx, factor, attracted[r, -1:], raw[r, -1:])
+            solved.append(key)
+        self.misses += len(keys)
+        if not solved:
+            return
+        n = len(solved)
+        _, totals, _, _ = _iterate_wait(attracted[:n].ravel(), raw[:n].ravel(),
+                                        self.scenario)
+        for key, row in zip(solved, totals.reshape(n, -1)):
+            self._memo[key] = (row[:-1].reshape(n_paths, n_steps).T.copy(),
+                               float(row[-1]))

@@ -129,6 +129,8 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
         raise ValueError(f"unknown policy kind {policy_kind!r}")
     if n_epochs < 1 or n_paths < 1:
         raise ValueError("n_paths and n_epochs must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     inner = dict(inner or {})
     initial = tuple(initial_covered)
     rho = scenario.discount_rate

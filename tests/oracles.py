@@ -11,7 +11,9 @@ reference for the fused-gate kernel.  ``gathered_region_totals`` and
 ``per_path_gbm`` are the unchunked region sum and the per-path simulation
 loop, kept as bit-for-bit references for their bounded-memory forms.
 ``realized_totals`` is the rollout's first per-epoch prefix walk, kept as the
-reference for its fold into ``deterministic_npv``.
+reference for its fold into ``deterministic_npv``.  ``masked_iterate_wait``
+is the wait-time recursion's first form, which masks every array with the
+active slices each round, kept as the reference for the compacting loop.
 """
 
 import itertools
@@ -385,3 +387,39 @@ def realized_totals(cov_order, demand, scenario):
         ridership += x
         prev = cur
     return payoff, ridership
+
+
+def masked_iterate_wait(attracted_sum, init_total, scenario, max_iterations):
+    """The wait-time recursion over slices, masking every array with the
+    slices still active each round; returns (mult, total, wait, iterations)
+    or raises ``ConvergenceError`` as the library does."""
+    from zoneinvest.ridership import WAIT_TOL, ConvergenceError
+
+    def wait_of(total):
+        return 0.8 * np.cbrt(total) * scenario.speed ** (-2.0 / 3.0)
+
+    attracted_sum = np.atleast_1d(np.asarray(attracted_sum, dtype=float))
+    m = attracted_sum.shape[0]
+    coeff = scenario.gamma * scenario.alpha_wait
+    tw = wait_of(np.atleast_1d(np.asarray(init_total, dtype=float)))
+    mult = np.ones(m)
+    total = np.array(np.atleast_1d(init_total), dtype=float)
+    iters = np.zeros(m, dtype=int)
+    active = np.ones(m, dtype=bool)
+    while active.any():
+        if iters[active].min() >= max_iterations:
+            gaps = np.abs(wait_of(attracted_sum[active]
+                                  * np.exp(-coeff * tw[active])) - tw[active])
+            raise ConvergenceError(float(gaps.max()), max_iterations)
+        iters[active] += 1
+        mult_a = np.exp(-coeff * tw[active])
+        total_a = attracted_sum[active] * mult_a
+        tw_new = wait_of(total_a)
+        gap = np.abs(tw_new - tw[active])
+        mult[active] = mult_a
+        total[active] = total_a
+        tw[active] += tw_new - tw[active]
+        done = gap < WAIT_TOL
+        idx_active = np.flatnonzero(active)
+        active[idx_active[done]] = False
+    return mult, total, tw, iters

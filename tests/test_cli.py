@@ -225,6 +225,32 @@ def test_workers_below_one_exits_1_without_report(tmp_path, scen3, capsys):
     assert list(tmp_path.glob("cr.*")) == []
 
 
+def test_invest_all_rollout_workers_below_one_exits_1_without_report(
+        tmp_path, scen3, capsys):
+    out = tmp_path / "roll.json"
+    assert main(["rollout", "--scenario", str(scen3), "--outer-paths", "2",
+                 "--epochs", "1", "--policy", "invest-all",
+                 "--workers", "-3", "--out", str(out)]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {"type": "ValueError",
+                              "message": "workers must be >= 1, got -3"}
+    assert list(tmp_path.glob("roll.*")) == []
+
+
+@pytest.mark.parametrize("fraction", ["-0.2", "1.5"])
+def test_train_validation_fraction_outside_unit_interval_exits_1(
+        chain_inputs, tmp_path, capsys, fraction):
+    out = tmp_path / "model.json"
+    assert main(["train", "--labeled", str(chain_inputs / "labeled.csv"),
+                 "--out", str(out), "--emb-size", "4", "--epochs", "2",
+                 "--validation-fraction", fraction]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {
+        "type": "ValueError",
+        "message": f"validation_fraction must be in [0, 1), got {fraction}"}
+    assert list(tmp_path.glob("model.*")) == []
+
+
 @pytest.fixture(scope="module")
 def chain_inputs(tmp_path_factory):
     """Scenario, cr value table, labeled sample and model to feed commands."""

@@ -18,8 +18,8 @@ from numpy.polynomial.hermite_e import hermevander
 
 from zoneinvest import policy
 from zoneinvest.lsmc import (DEFAULT_BASIS_SIZE, DEFER, NEVER, _blend,
-                             _fit_rows, continuation_fit, valuate_sequence,
-                             valuate_sequences)
+                             _discount_at, _fit_rows, continuation_fit,
+                             valuate_sequence, valuate_sequences)
 from zoneinvest.ridership import RidershipCache
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence
@@ -117,6 +117,21 @@ def test_blend_equals_where_bit_for_bit(select):
     fill = np.negative(mask, dtype=np.int64)
     _blend(fill, a, b, b, np.empty_like(b))    # in place, as the recursion does
     assert b.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("times, rho", [
+    ((1.0, 2.0, 3.0, 4.0, 5.0), 0.05), ((0.5, 1.5, 4.0), 0.137),
+    ((2.0,), 0.0), ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0), 1e-9)])
+def test_discount_table_equals_per_element_power(times, rho):
+    times = np.asarray(times)
+    every = np.arange(NEVER, len(times))      # NEVER, then steps 0..T-1
+    tau = np.random.default_rng(len(times)).choice(every, size=(4, 6, 30))
+    tau.flat[:len(every)] = every
+    expected = np.where(tau != NEVER,
+                        (1.0 + rho) ** (-times[np.maximum(tau, 0)]), 0.0)
+    got = _discount_at(tau, times, rho)
+    assert got.shape == tau.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def assert_same(val, other):

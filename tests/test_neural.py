@@ -338,6 +338,13 @@ class TestTraining:
                          validation_fraction=fraction)
         assert model.training_meta["validation_positives"] == expected
 
+    @pytest.mark.parametrize("fraction", [-0.2, 1.0, 1.5, float("nan")])
+    def test_validation_fraction_outside_unit_interval_rejected(self,
+                                                                fraction):
+        with pytest.raises(ValueError, match=f"got {fraction}"):
+            train(separable_dataset(), emb_size=4, max_epochs=1,
+                  validation_fraction=fraction)
+
     def test_regressor_trains_on_normalized_values(self):
         seqs = enumerate_sequences(tuple("abcd"))[:16]
         values = np.linspace(10.0, 40.0, 16)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from zoneinvest import ridership
 from zoneinvest._chunks import chunk_slices
 from zoneinvest.ridership import (ConvergenceError, RidershipCache,
-                                  cumulative_ridership, equilibrium_ridership,
-                                  payoff_threshold, zone_payoff)
+                                  _cost_factor, cumulative_ridership,
+                                  equilibrium_ridership, payoff_threshold,
+                                  zone_payoff)
 from zoneinvest.stochastic import simulate_paths
 
 from conftest import make_scenario, single_od_scenario
-from oracles import bisect_ridership_root, gathered_region_totals
+from oracles import (bisect_ridership_root, gathered_region_totals,
+                     masked_iterate_wait)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
@@ -74,6 +77,31 @@ def test_nonconvergence_raises_with_gap(two_zone, monkeypatch):
         equilibrium_ridership(two_zone.base_demand, two_zone)
     assert err.value.gap > 0
     assert err.value.iterations == 1
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1e-300, 0.3, 7.0, 1e3, 5e5]),
+                          st.floats(0.0, 1.0)), min_size=1, max_size=40),
+       st.sampled_from([0.0, 0.005, 0.05, 0.5]), st.sampled_from([2, 5, 1000]))
+def test_wait_iteration_equals_the_masked_recursion(slices, gamma, cap):
+    """Slices of many sizes stop in different rounds; each one's results are
+    those of the masked recursion, bit for bit, and so is a non-convergence."""
+    scen = make_scenario([[1.0]], {"a1": "A"}, {"A": 0.1}, gamma=gamma)
+    raw = np.array([q for q, _ in slices])
+    attracted = raw * np.array([f for _, f in slices])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ridership, "MAX_ITERATIONS", cap)
+        try:
+            want = masked_iterate_wait(attracted, raw, scen, cap)
+        except ConvergenceError as err:
+            with pytest.raises(ConvergenceError) as got:
+                ridership._iterate_wait(attracted, raw, scen)
+            assert (got.value.gap, got.value.iterations) == (err.gap,
+                                                             err.iterations)
+            return
+        got = ridership._iterate_wait(attracted, raw, scen)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 class TestCumulative:
@@ -287,4 +315,82 @@ def test_cache_fill_memory_is_bounded(synth7):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_cost_factor_gathered_from_the_full_matrix(synth7):
+    """The cache computes the cost factor once and gathers each region's."""
+    full = _cost_factor(synth7, None)
+    for r in range(1, len(synth7.zones) + 1):
+        for zones in itertools.combinations(synth7.zones, r):
+            idx = synth7.subzone_indices(frozenset(zones))
+            assert np.array_equal(full[idx[:, None], idx],
+                                  _cost_factor(synth7, idx))
+
+
+class TestGroupedFill:
+    """``RidershipCache.fill`` solves many regions per wait-time call; each
+    region's totals are those of solving it alone, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, synth7):
+        return simulate_paths(synth7, 6, seed=4)
+
+    @PROPERTY
+    @given(st.data(), st.sampled_from([1, 2, 3, 5]))
+    def test_any_grouping_equals_solving_alone(self, synth7, paths, data,
+                                               group):
+        covered = data.draw(st.lists(st.sampled_from(synth7.zones),
+                                     max_size=3, unique=True))
+        rest = [z for z in synth7.zones if z not in covered]
+        regions = data.draw(st.lists(
+            st.frozensets(st.sampled_from(rest)), min_size=1, max_size=12))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(regions)),
+                                         max_size=3)))
+        cache = RidershipCache(synth7, paths, covered)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ridership, "REGION_GROUP", group)
+            if data.draw(st.booleans()):   # one region on its own first
+                cache.cumulative(regions[0])
+            for lo, hi in zip([0, *cuts], [*cuts, len(regions)]):
+                cache.fill(regions[lo:hi])
+        distinct = set(regions)
+        assert cache.misses == len(distinct)
+        for region in data.draw(st.permutations(sorted(distinct, key=sorted))):
+            totals, t0 = cache.cumulative(region)
+            assert totals.shape == (paths.n_steps, paths.n_paths)
+            assert np.array_equal(totals, cumulative_ridership(
+                region, paths.values, synth7, covered).T)
+            assert t0 == cumulative_ridership(region, synth7.base_demand,
+                                              synth7, covered)
+        assert cache.misses == len(distinct)
+
+    def test_counts_regions_solved_and_lookups_served(self, synth7, paths):
+        cache = RidershipCache(synth7, paths)
+        cache.fill([("z01",), ("z02",), ("z01",), (), ("z02",)])
+        assert (cache.misses, cache.hits) == (3, 0)
+        cache.fill([("z02",)])
+        cache.cumulative(("z01",))
+        cache.cumulative(("z03",))
+        assert (cache.misses, cache.hits) == (4, 1)
+
+    def test_rejects_a_region_overlapping_covered(self, synth7, paths):
+        cache = RidershipCache(synth7, paths, covered=("z01",))
+        with pytest.raises(ValueError, match="overlaps"):
+            cache.fill([("z02",), ("z01", "z03")])
+
+
+def test_grouped_fill_memory_is_bounded(synth7):
+    """Filling all 2^7 regions at H = 7, P = 300 holds the memo and one
+    group's wait-time solve at a time."""
+    cache = RidershipCache(synth7, simulate_paths(synth7, 300, seed=11))
+    regions = [c for r in range(len(synth7.zones) + 1)
+               for c in itertools.combinations(synth7.zones, r)]
+    tracemalloc.start()
+    try:
+        cache.fill(regions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.misses == 128
     assert peak < 5e6

@@ -153,6 +153,17 @@ class TestRollout:
             run_rollout(scen, n_paths=1, n_epochs=1, seed=1,
                         policy_kind="other")
 
+    @pytest.mark.parametrize("kind", [INVEST_ALL, CR, CR_RNN])
+    def test_workers_below_one_rejected_before_simulating(self, kind,
+                                                          monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting workers")
+
+        monkeypatch.setattr("zoneinvest.rollout.simulate_paths", no_simulation)
+        with pytest.raises(ValueError, match="workers must be >= 1, got -3"):
+            run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
+                        policy_kind=kind, workers=-3)
+
 
 @pytest.mark.parametrize("scen, kw", [
     (generate_synthetic_scenario(6, 4, 2, 90.0),
