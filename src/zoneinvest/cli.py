@@ -36,7 +36,6 @@ def _add_valuation(p):
     _add_common(p)
     p.add_argument("--covered", default="",
                    help="comma-joined zones already in service")
-    p.add_argument("--j", type=int, default=3, help="regression basis size")
 
 
 def _add_workers(p):
@@ -248,7 +247,7 @@ def _dispatch(args) -> None:
     covered = sequences.Sequence.parse(args.covered).order
     if args.command == "valuate":
         val = valuate_sequence(sequences.Sequence.parse(args.sequence), sim,
-                               scen, covered=covered, j=args.j)
+                               scen, covered=covered)
         doc = {
             "config": cfg,
             "sequence": str(val.sequence),
@@ -261,12 +260,12 @@ def _dispatch(args) -> None:
         write_report(args.out, doc)
         return
     if args.command == "cr":
-        res = policy.cr_policy(scen, sim, covered=covered, j=args.j,
+        res = policy.cr_policy(scen, sim, covered=covered,
                                workers=args.workers)
         policy.report(res, args.out, config=cfg)
         return
     if args.command == "cr-rnn":
-        res = policy.cr_rnn_policy(scen, sim, covered=covered, j=args.j,
+        res = policy.cr_rnn_policy(scen, sim, covered=covered,
                                    workers=args.workers, seed=args.seed,
                                    **_rnn_kwargs(args))
         policy.report(res, args.out, config=cfg)

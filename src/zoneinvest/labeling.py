@@ -123,6 +123,14 @@ def estimate_eta_ub(values, population_size: int) -> float:
     return weibull_max_median(k, lam, population_size)
 
 
+def check_cutoff_settings(thr_fact: float, pnr_max: float) -> None:
+    """Reject a ``thr_fact`` outside [0, 1] or a ``pnr_max`` outside (0, 1]."""
+    if not 0.0 < pnr_max <= 1.0:
+        raise ValueError(f"pnr_max must be in (0, 1], got {pnr_max}")
+    if not 0.0 <= thr_fact <= 1.0:
+        raise ValueError(f"thr_fact must be in [0, 1], got {thr_fact}")
+
+
 def label_dataset(valuations, population_size: int, thr_fact: float,
                   pnr_max: float) -> LabeledDataset:
     """Binarize sampled (sequence, value) pairs against the estimated
@@ -137,10 +145,10 @@ def label_dataset(valuations, population_size: int, thr_fact: float,
              for s, v in valuations]
     if len(pairs) < 2:
         raise ValueError("need at least 2 valuations to label")
-    if not 0.0 < pnr_max <= 1.0:
-        raise ValueError(f"pnr_max must be in (0, 1], got {pnr_max}")
-    if not 0.0 <= thr_fact <= 1.0:
-        raise ValueError(f"thr_fact must be in [0, 1], got {thr_fact}")
+    if population_size < len(pairs):
+        raise ValueError(f"population_size {population_size} is smaller than "
+                         f"the {len(pairs)} sampled values")
+    check_cutoff_settings(thr_fact, pnr_max)
     pairs.sort(key=lambda sv: (-sv[1], sv[0].order))
     values = np.array([v for _, v in pairs])
     m = len(pairs)

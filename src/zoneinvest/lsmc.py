@@ -39,7 +39,8 @@ from .stochastic import DemandPaths
 
 NEVER = -1  # stopping-time sentinel: the option is never exercised
 
-DEFAULT_BASIS_SIZE = 3
+# Continuation values regress on He_0..He_2 of the standardized state.
+BASIS_SIZE = 3
 
 INVEST = "invest"
 DEFER = "defer"
@@ -50,7 +51,6 @@ class RegressionBasis:
     """Hermite least-squares fit of continuation targets on a standardized
     scalar state."""
 
-    degree: int
     coefficients: np.ndarray
     state_mean: float
     state_std: float
@@ -67,26 +67,24 @@ class SequenceValuation:
     rank_deficient_fits: int       # (step, position) fits on a rank-deficient design
 
 
-def _fit_rows(states: np.ndarray, targets: np.ndarray, j: int,
+def _fit_rows(states: np.ndarray, targets: np.ndarray,
               design_of: np.ndarray | None = None):
-    """Row-wise least-squares fits of ``targets`` [R, P] on He_0..He_{j-1} of
+    """Row-wise least-squares fits of ``targets`` [R, P] on He_0..He_2 of
     standardized states.
 
     ``states`` [K, P] holds one state per distinct design; row r regresses on
     design ``design_of[r]`` (row r on design r when ``design_of`` is None).
     Standardizing, the Hermite design and its thin SVD run once per design;
     projections, coefficients and fitted values run per row.  Returns
-    ``(coef [R, j], mean [K], std [K], rank_deficient [K], fitted [R, P])``.
-    The minimum-norm solution drops singular values at or below ``lstsq``'s
-    default cutoff ``eps * max(P, j) * s_max``.  Every reduction runs along
-    one design or one row, so a row's fit is the same whichever rows and
-    designs are stacked with it.
+    ``(coef [R, BASIS_SIZE], mean [K], std [K], rank_deficient [K],
+    fitted [R, P])``.  The minimum-norm solution drops singular values at or
+    below ``lstsq``'s default cutoff ``eps * max(P, BASIS_SIZE) * s_max``.
+    Every reduction runs along one design or one row, so a row's fit is the
+    same whichever rows and designs are stacked with it.
     """
     p = states.shape[1]
-    if j < 1:
-        raise ValueError("basis size must be >= 1")
-    if p < j:
-        raise ValueError(f"need at least {j} paths for {j} basis functions, got {p}")
+    if p < BASIS_SIZE:
+        raise ValueError(f"need at least {BASIS_SIZE} paths, got {p}")
     rows = np.arange(len(targets)) if design_of is None else design_of
     mean = states.mean(axis=1)
     std = states.std(axis=1)
@@ -94,19 +92,19 @@ def _fit_rows(states: np.ndarray, targets: np.ndarray, j: int,
     z = states - mean[:, None]
     z /= np.where(constant, 1.0, std)[:, None]
     z[constant] = 0.0
-    design = hermevander(z, j - 1)                       # [K, P, j]
+    design = hermevander(z, BASIS_SIZE - 1)              # [K, P, BASIS_SIZE]
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    keep = sv > np.finfo(float).eps * max(p, j) * sv[:, :1]
+    keep = sv > np.finfo(float).eps * max(p, BASIS_SIZE) * sv[:, :1]
     projected = np.stack([(u[rows, :, k] * targets).sum(axis=1)
-                          for k in range(j)], axis=1)     # U^T y, [R, j]
+                          for k in range(BASIS_SIZE)], axis=1)  # U^T y
     weights = np.divide(projected, sv[rows], out=np.zeros_like(projected),
                         where=keep[rows])
     row_vt = vt[rows]
     coef = row_vt[:, 0, :] * weights[:, :1]
-    for k in range(1, j):
+    for k in range(1, BASIS_SIZE):
         coef += row_vt[:, k, :] * weights[:, k:k + 1]
     fitted = design[rows, :, 0] * coef[:, :1]
-    for i in range(1, j):
+    for i in range(1, BASIS_SIZE):
         fitted += design[rows, :, i] * coef[:, i:i + 1]
 
     # A constant state carries no information: the fit is the target mean.
@@ -115,12 +113,12 @@ def _fit_rows(states: np.ndarray, targets: np.ndarray, j: int,
     coef[constant_rows] = 0.0
     coef[constant_rows, 0] = target_mean
     fitted[constant_rows] = target_mean[:, None]
-    rank_deficient = ~constant & (keep.sum(axis=1) < j)
+    rank_deficient = ~constant & (keep.sum(axis=1) < BASIS_SIZE)
     return coef, mean, np.where(constant, 0.0, std), rank_deficient, fitted
 
 
-def continuation_fit(states, targets, j: int = DEFAULT_BASIS_SIZE):
-    """Least-squares fit of ``targets`` on He_0..He_{j-1} of the standardized
+def continuation_fit(states, targets):
+    """Least-squares fit of ``targets`` on He_0..He_2 of the standardized
     state, using all paths.
 
     Returns ``(basis, fitted)``.  A constant state degenerates to the target
@@ -129,8 +127,8 @@ def continuation_fit(states, targets, j: int = DEFAULT_BASIS_SIZE):
     """
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    coef, mean, std, deficient, fitted = _fit_rows(states[None], targets[None], j)
-    basis = RegressionBasis(j, coef[0], float(mean[0]), float(std[0]),
+    coef, mean, std, deficient, fitted = _fit_rows(states[None], targets[None])
+    basis = RegressionBasis(coef[0], float(mean[0]), float(std[0]),
                             bool(deficient[0]))
     return basis, fitted[0]
 
@@ -175,8 +173,7 @@ def _discount_at(tau, times, rho):
     return np.append((1.0 + rho) ** (-times), 0.0)[tau]
 
 
-def valuate_sequences(orders, cache: RidershipCache,
-                      j: int = DEFAULT_BASIS_SIZE) -> list[SequenceValuation]:
+def valuate_sequences(orders, cache: RidershipCache) -> list[SequenceValuation]:
     """Value same-length investment sequences by multi-option LSMC, in one
     backward recursion over all of them.
 
@@ -248,7 +245,7 @@ def valuate_sequences(orders, cache: RidershipCache,
             phi = np.zeros(shape)
         else:
             *_, step_deficient, phi = _fit_rows(
-                states[n], waiting.reshape(-1, n_paths), j, key_of.ravel())
+                states[n], waiting.reshape(-1, n_paths), key_of.ravel())
             phi = phi.reshape(shape)
             deficient += step_deficient
         payoffs = states[n][key_of] - thresholds[:, None, None]
@@ -286,11 +283,10 @@ def valuate_sequences(orders, cache: RidershipCache,
 
 
 def valuate_sequence(seq, paths: DemandPaths, scenario: Scenario,
-                     covered=(), j: int = DEFAULT_BASIS_SIZE) -> SequenceValuation:
+                     covered=()) -> SequenceValuation:
     """Value one investment sequence by multi-option LSMC, on a fresh
     ridership cache over ``scenario``, ``paths`` and ``covered``.
 
     The one-ordering case of :func:`valuate_sequences`.
     """
-    return valuate_sequences([seq], RidershipCache(scenario, paths, covered),
-                             j)[0]
+    return valuate_sequences([seq], RidershipCache(scenario, paths, covered))[0]

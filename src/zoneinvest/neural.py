@@ -13,6 +13,7 @@ finite differences and a per-gate reference in the test suite).
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,6 +242,13 @@ def score_and_rank(model: LstmModel, candidates, k: int):
     return ranked[:k]
 
 
+def check_validation_fraction(fraction: float) -> None:
+    """Reject a validation fraction outside [0, 1)."""
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(
+            f"validation_fraction must be in [0, 1), got {fraction}")
+
+
 def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
           batch_size: int = 32, max_epochs: int = 300, seed: int = 0,
           validation_fraction: float = 0.2, patience: int = 20,
@@ -255,9 +263,7 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
     are (epoch, val_loss), val_loss None without a split, and epoch 0 is
     the pre-training loss.
     """
-    if not 0.0 <= validation_fraction < 1.0:
-        raise ValueError("validation_fraction must be in [0, 1), got "
-                         f"{validation_fraction}")
+    check_validation_fraction(validation_fraction)
     seqs = dataset.sequences
     if head_kind == CLASSIFIER:
         targets = dataset.labels.astype(float)
@@ -347,6 +353,20 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
                                  else None),
     }
     return model, history
+
+
+# Taken once at import, so that a caller's wrapper around ``train`` (a
+# timer, say) does not hide the settings it takes.
+_TRAIN_SIGNATURE = inspect.signature(train)
+
+
+def check_train_settings(**settings) -> None:
+    """Raise for keyword ``settings`` what :func:`train` raises before it
+    reads its dataset: ``TypeError`` for a name it does not take and
+    ``ValueError`` for a ``validation_fraction`` outside [0, 1)."""
+    bound = _TRAIN_SIGNATURE.bind(None, **settings)
+    bound.apply_defaults()
+    check_validation_fraction(bound.arguments["validation_fraction"])
 
 
 # -- evaluation metrics -------------------------------------------------------

@@ -11,7 +11,6 @@ back to plain CR, mirroring how the method is used in rolling-horizon runs.
 
 from __future__ import annotations
 
-import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,15 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from ._report import write_report
-from .labeling import LabeledDataset, label_dataset, label_with_cutoff
+from .labeling import (LabeledDataset, check_cutoff_settings, label_dataset,
+                       label_with_cutoff)
 # valuate_sequence is not called here; it stays bound as policy.valuate_sequence,
 # a name outside callers look up (e.g. to wrap it with a timer).
 from .lsmc import valuate_sequence, valuate_sequences  # noqa: F401
-from .neural import (CLASSIFIER, LstmModel, auc, gap_at_k, score_and_rank,
-                     scores, train)
+from .neural import (CLASSIFIER, LstmModel, auc, check_train_settings,
+                     gap_at_k, score_and_rank, scores, train)
 from .ridership import RidershipCache, cumulative_ridership, zone_payoff
 from .scenario import Scenario
-from .sequences import Sequence, enumerate_sequences, sample_sequences
+from .sequences import (Sequence, check_fraction, enumerate_sequences,
+                        sample_sequences)
 from .stochastic import DemandPaths
 
 CR = "CR"
@@ -76,46 +77,45 @@ _POLICY_FIELDS = tuple(f.name for f in fields(PolicyResult)
 _WORKER: dict = {}
 
 
-def _init_worker(scenario, paths, covered, j):
-    _WORKER["args"] = (RidershipCache(scenario, paths, covered), j)
+def _init_worker(cache):
+    _WORKER["cache"] = cache
 
 
-def _value_batches(seqs, cache, j) -> list:
+def _value_batches(seqs, cache) -> list:
     # Only the t0 decisions ride along: stopping times would hold [H, P] per
     # ordering, and the decisions are all the winner needs.  No name holds a
     # batch, so its valuations are freed before the next batch is valued.
     valued = []
     for i in range(0, len(seqs), BATCH_SIZE):
         valued.extend((v.sequence, v.policy_value, v.decisions_t0) for v in
-                      valuate_sequences(seqs[i:i + BATCH_SIZE], cache, j))
+                      valuate_sequences(seqs[i:i + BATCH_SIZE], cache))
     return valued
 
 
 def _value_chunk(seqs):
-    return _value_batches(seqs, *_WORKER["args"])
+    return _value_batches(seqs, _WORKER["cache"])
 
 
-def _value_all(seqs, cache, j, workers) -> list:
+def _value_all(seqs, cache, workers) -> list:
     """``(sequence, policy value, t0 decisions)`` for ``seqs``, in order;
     identical for any worker count.
 
-    ``cache`` holds the valuation inputs and serves the in-process path;
-    each worker builds its own from those inputs.  Orderings are valued in
-    zone order, so a batch's neighbours share (prefix set, zone) designs,
-    and mapped back; a value does not depend on its batch.
+    ``cache`` is the valuation context, and each worker receives it whole.
+    Orderings are valued in zone order, so a batch's neighbours share
+    (prefix set, zone) designs, and mapped back; a value does not depend on
+    its batch.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ordered = sorted(seqs, key=lambda s: s.order)
     if workers == 1:
-        valued = _value_batches(ordered, cache, j)
+        valued = _value_batches(ordered, cache)
     else:
         chunk = max(1, len(ordered) // (workers * 8))
         chunks = [ordered[i:i + chunk] for i in range(0, len(ordered), chunk)]
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
-                initargs=(cache.scenario, cache.paths, cache.covered,
-                          j)) as pool:
+                initargs=(cache,)) as pool:
             valued = [row for part in pool.map(_value_chunk, chunks)
                       for row in part]
     row_of = {row[0]: row for row in valued}
@@ -135,14 +135,13 @@ def deterministic_npv(order, scenario: Scenario, covered=()) -> float:
     return npv
 
 
-def _finish(mode, tables, scenario, covered, t_start, dataset=None,
-            model=None):
+def _finish(mode, tables, cache, t_start, dataset=None, model=None):
     """The result over every valued ``(sequence, value, decisions)`` row of
     ``tables``: the highest value wins, ties to the first zone order."""
     best_seq, best_value, best_decisions = min(
         (row for rows in tables.values() for row in rows),
         key=lambda row: (-row[1], row[0].order))
-    npv = deterministic_npv(best_seq.order, scenario, covered)
+    npv = deterministic_npv(best_seq.order, cache.scenario, cache.covered)
     return PolicyResult(
         mode=mode,
         best_sequence=best_seq,
@@ -164,7 +163,7 @@ def _finish(mode, tables, scenario, covered, t_start, dataset=None,
 
 
 def cr_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
-              j: int = 3, workers: int = 1) -> PolicyResult:
+              workers: int = 1) -> PolicyResult:
     """Full-enumeration policy: value all H! sequences, keep the argmax."""
     t0 = time.perf_counter()
     covered = frozenset(covered)
@@ -173,14 +172,14 @@ def cr_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
         raise ValueError("no candidate zones outside the covered set")
     seqs = enumerate_sequences(candidates)
     cache = RidershipCache(scenario, paths, covered)
-    tables = {"all": _value_all(seqs, cache, j, workers)}
-    return _finish(CR, tables, scenario, covered, t0)
+    tables = {"all": _value_all(seqs, cache, workers)}
+    return _finish(CR, tables, cache, t0)
 
 
 def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
                   frac_seq: float, pnr_max: float, k: int,
-                  thr_fact: float = 0.1, seed: int = 0, j: int = 3,
-                  workers: int = 1, **train_options) -> PolicyResult:
+                  thr_fact: float = 0.1, seed: int = 0, workers: int = 1,
+                  **train_options) -> PolicyResult:
     """Classifier-guided policy: sample, value, label, train, retrieve top-K,
     value those, argmax over the valued dictionary.
 
@@ -188,27 +187,30 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
     their defaults.  The master ``seed`` fans out into fixed sub-seeds for
     sampling and training so each stage is reproducible in isolation.
     """
+    # Every setting is checked before anything is valued, also on the paths
+    # that never sample, label or train, by the rules of the stages that
+    # use them.
     if k < 1:
         raise ValueError("k must be >= 1")
-    # Settings train would reject fail here too, also when it never runs.
-    inspect.signature(train).bind(None, seed=seed, head_kind=CLASSIFIER,
-                                  **train_options)
+    check_train_settings(seed=seed, head_kind=CLASSIFIER, **train_options)
+    check_fraction(frac_seq)
+    check_cutoff_settings(thr_fact, pnr_max)
     t0 = time.perf_counter()
     covered = frozenset(covered)
     candidates = sorted(set(scenario.zones) - covered)
     if len(candidates) <= SMALL_H_FALLBACK:
-        return cr_policy(scenario, paths, covered, j=j, workers=workers)
+        return cr_policy(scenario, paths, covered, workers=workers)
 
     root = np.random.SeedSequence(seed)
     sample_seed, train_seed = (int(s.generate_state(1)[0])
                                for s in root.spawn(2))
     sampled, remaining = sample_sequences(candidates, frac_seq, sample_seed)
     cache = RidershipCache(scenario, paths, covered)
-    tables = {"sampled": _value_all(sampled, cache, j, workers)}
+    tables = {"sampled": _value_all(sampled, cache, workers)}
     dataset = label_dataset([(s, v) for s, v, _ in tables["sampled"]],
                             len(sampled) + len(remaining), thr_fact, pnr_max)
     if not remaining:
-        return _finish(CR_RNN, tables, scenario, covered, t0, dataset)
+        return _finish(CR_RNN, tables, cache, t0, dataset)
 
     try:
         model, _ = train(dataset, seed=train_seed, head_kind=CLASSIFIER,
@@ -218,8 +220,8 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
             f"CR-RNN classifier training failed on {len(sampled)} sampled "
             f"sequences: {exc}") from exc
     top = score_and_rank(model, remaining, min(k, len(remaining)))
-    tables["top_k"] = _value_all([s for s, _ in top], cache, j, workers)
-    return _finish(CR_RNN, tables, scenario, covered, t0, dataset, model)
+    tables["top_k"] = _value_all([s for s, _ in top], cache, workers)
+    return _finish(CR_RNN, tables, cache, t0, dataset, model)
 
 
 # -- retrieval evaluation ------------------------------------------------------

@@ -25,6 +25,7 @@ from .lsmc import INVEST
 from .policy import CR, CR_RNN, cr_policy, cr_rnn_policy, deterministic_npv
 from .ridership import cumulative_ridership
 from .scenario import Scenario
+from .sequences import Sequence
 from .stochastic import simulate_paths
 
 INVEST_ALL = "invest-all"
@@ -132,7 +133,8 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     inner = dict(inner or {})
-    initial = tuple(initial_covered)
+    initial = Sequence(initial_covered).order  # a repeated zone raises
+    scenario.subzone_indices(initial)          # so does an unknown one
     rho = scenario.discount_rate
     outer_scen = replace(scenario,
                          horizon_steps=tuple(float(e) for e in range(1, n_epochs + 1)))

@@ -57,14 +57,19 @@ def enumerate_sequences(zones) -> list[Sequence]:
     return [Sequence(p) for p in itertools.permutations(ids)]
 
 
+def check_fraction(fraction: float) -> None:
+    """Reject a sampling fraction outside (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+
+
 def sample_sequences(zones, fraction: float, seed: int):
     """Uniform sample without replacement of round(fraction * H!) sequences.
 
     Returns ``(sampled, remaining)``; the two lists partition the full
     enumeration and the split is deterministic per seed.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    check_fraction(fraction)
     population = enumerate_sequences(zones)
     m = int(round(fraction * len(population)))
     if m < 1:

@@ -164,7 +164,7 @@ def paired_t_by_hand(a, b):
     return d.mean() / (sd / np.sqrt(n))
 
 
-def per_sequence_lsmc(order, paths, scenario, covered=(), j=3):
+def per_sequence_lsmc(order, paths, scenario, covered=()):
     """Multi-option LSMC of one ordering by a plain per-position recursion.
 
     One ordering at a time, one regression per (time, position), and a
@@ -216,7 +216,7 @@ def per_sequence_lsmc(order, paths, scenario, covered=(), j=3):
                 phi = np.zeros(n_paths)
             else:
                 basis, phi = continuation_fit(states[h - 1, n],
-                                              disc * value_next[h], j)
+                                              disc * value_next[h])
                 rank_deficient_fits += basis.rank_deficient
             immediate = payoffs[h - 1, n] + value[h + 1]
             ex = immediate >= phi

@@ -43,6 +43,9 @@ def test_unknown_flag_exits_2():
     (["simulate"], ["--workers", "2"]),
     (["simulate"], ["--j", "5"]),
     (["valuate", "--sequence", "z01,z02,z03"], ["--workers", "2"]),
+    (["valuate", "--sequence", "z01,z02,z03"], ["--j", "3"]),
+    (["cr"], ["--j", "3"]),
+    (["cr-rnn"], ["--j", "3"]),
 ])
 def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, scen3, command,
                                                  flag):
@@ -249,6 +252,30 @@ def test_train_validation_fraction_outside_unit_interval_exits_1(
         "type": "ValueError",
         "message": f"validation_fraction must be in [0, 1), got {fraction}"}
     assert list(tmp_path.glob("model.*")) == []
+
+
+def test_cr_rnn_bad_setting_exits_1_without_report(tmp_path, capsys):
+    scen = tmp_path / "scenario.json"
+    save_scenario(generate_synthetic_scenario(5, 5, 3, 100.0), scen)
+    out = tmp_path / "r.json"
+    assert main(["cr-rnn", "--scenario", str(scen), "--paths", "10",
+                 "--pnr-max", "-1", "--out", str(out)]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {"type": "ValueError",
+                              "message": "pnr_max must be in (0, 1], got -1.0"}
+    assert list(tmp_path.glob("r.*")) == []
+
+
+def test_label_population_below_sample_exits_1_without_files(
+        tmp_path, chain_inputs, capsys):
+    out = tmp_path / "l.csv"
+    assert main(["label", "--values", str(chain_inputs / "cr.csv"),
+                 "--population", "5", "--out", str(out)]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {
+        "type": "ValueError",
+        "message": "population_size 5 is smaller than the 6 sampled values"}
+    assert list(tmp_path.glob("l.*")) == []
 
 
 @pytest.fixture(scope="module")

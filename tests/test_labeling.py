@@ -153,6 +153,13 @@ class TestLabelDataset:
         with pytest.raises(ValueError):
             label_dataset(make_valuations([1.0]), 10, 0.1, 0.05)
 
+    def test_population_smaller_than_sample_rejected(self):
+        valuations = make_valuations(np.linspace(10.0, 30.0, 40))
+        with pytest.raises(ValueError, match="population_size 5 is smaller "
+                                             "than the 40 sampled values"):
+            label_dataset(valuations, 5, 0.1, 0.05)
+        assert label_dataset(valuations, 40, 0.1, 0.05).population_size == 40
+
     def test_normalization_is_standard_scaler(self):
         rng = np.random.default_rng(18)
         values = weibull_samples(2.0, 30.0, 50, rng)

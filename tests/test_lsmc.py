@@ -27,7 +27,7 @@ class TestContinuationFit:
     def test_constant_targets_fit_exactly(self):
         rng = np.random.default_rng(0)
         states = rng.normal(size=200)
-        basis, fitted = continuation_fit(states, np.full(200, 3.25), j=3)
+        basis, fitted = continuation_fit(states, np.full(200, 3.25))
         assert np.allclose(fitted, 3.25, atol=1e-10)
         assert basis.coefficients[0] == pytest.approx(3.25, abs=1e-10)
         assert np.allclose(basis.coefficients[1:], 0.0, atol=1e-10)
@@ -36,14 +36,14 @@ class TestContinuationFit:
         rng = np.random.default_rng(1)
         states = rng.normal(10.0, 4.0, size=300)
         targets = 2.0 * states - 7.0
-        _, fitted = continuation_fit(states, targets, j=3)
+        _, fitted = continuation_fit(states, targets)
         assert np.allclose(fitted, targets, atol=1e-9)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(2)
         states = rng.normal(50.0, 9.0, size=300)
         targets = rng.normal(size=300)
-        basis, fitted = continuation_fit(states, targets, j=3)
+        basis, fitted = continuation_fit(states, targets)
         z = (states - states.mean()) / states.std()
         design = hermevander(z, 2)
         beta = polyfit_normal_equations(design, targets)
@@ -52,19 +52,19 @@ class TestContinuationFit:
 
     def test_constant_state_degenerates_to_mean(self):
         targets = np.arange(10.0)
-        basis, fitted = continuation_fit(np.full(10, 7.0), targets, j=3)
+        basis, fitted = continuation_fit(np.full(10, 7.0), targets)
         assert basis.state_std == 0.0
         assert np.allclose(fitted, targets.mean())
 
     def test_rank_deficiency_flagged(self):
         states = np.tile([0.0, 1.0], 50)
         targets = np.arange(100.0)
-        basis, _ = continuation_fit(states, targets, j=3)
+        basis, _ = continuation_fit(states, targets)
         assert basis.rank_deficient
 
     def test_needs_enough_paths(self):
         with pytest.raises(ValueError):
-            continuation_fit(np.ones(2), np.ones(2), j=3)
+            continuation_fit(np.ones(2), np.ones(2))
 
 
 def deterministic_scenario():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermevander
 
 from zoneinvest import policy
-from zoneinvest.lsmc import (DEFAULT_BASIS_SIZE, DEFER, NEVER, _blend,
+from zoneinvest.lsmc import (BASIS_SIZE, DEFER, NEVER, _blend,
                              _discount_at, _fit_rows, continuation_fit,
                              valuate_sequence, valuate_sequences)
 from zoneinvest.ridership import RidershipCache
@@ -28,7 +28,7 @@ from zoneinvest.stochastic import DemandPaths, simulate_paths
 from conftest import make_scenario
 from oracles import per_sequence_lsmc
 
-J = DEFAULT_BASIS_SIZE
+J = BASIS_SIZE
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
@@ -149,7 +149,7 @@ def assert_matches_oracle(problem):
     assert len(vals) == len(seqs)
     for seq, val in zip(seqs, vals):
         value, tau, decisions, per_zone, deficient = per_sequence_lsmc(
-            seq.order, paths, scen, covered, J)
+            seq.order, paths, scen, covered)
         assert val.sequence == seq
         assert val.policy_value == value
         assert np.array_equal(val.stopping_times, tau)
@@ -256,10 +256,10 @@ def keyed_fits(draw):
 @given(keyed_fits())
 def test_keyed_fit_equals_row_stacked_fit(data):
     kinds, states, design_of, targets = data
-    coef, mean, std, deficient, fitted = _fit_rows(states, targets, J,
+    coef, mean, std, deficient, fitted = _fit_rows(states, targets,
                                                    design_of)
     row_coef, row_mean, row_std, row_deficient, row_fitted = _fit_rows(
-        states[design_of], targets, J)
+        states[design_of], targets)
     assert np.array_equal(coef, row_coef)
     assert np.array_equal(fitted, row_fitted)
     assert np.array_equal(mean[design_of], row_mean)
@@ -278,7 +278,7 @@ def test_fit_matches_lstsq(data):
     # Integer states give exactly rank-deficient and constant designs but no
     # near-collinear ones, on which two solvers' fits differ beyond rounding.
     states, targets = (np.array(x, dtype=float) for x in data)
-    basis, fitted = continuation_fit(states, targets, J)
+    basis, fitted = continuation_fit(states, targets)
     if basis.state_std == 0.0:
         assert np.all(fitted == targets.mean())
         return

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zoneinvest.lsmc import valuate_sequence, valuate_sequences
-from zoneinvest import policy
+from zoneinvest.lsmc import (continuation_fit, valuate_sequence,
+                             valuate_sequences)
+from zoneinvest import neural, policy
 from zoneinvest.policy import (CR, CR_RNN, _finish, cr_policy, cr_rnn_policy,
                                deterministic_npv, evaluate_retrieval,
                                load_report, report)
@@ -32,9 +33,10 @@ def test_argmax_breaks_ties_lexicographically():
                          {"a": 0.2, "b": 0.2})
     a, b = Sequence(("a", "b")), Sequence(("b", "a"))
     defer, invest = ("defer", "defer"), ("invest", "defer")
+    cache = RidershipCache(scen, simulate_paths(scen, 3, seed=0))
 
     def best(rows):
-        res = _finish(CR, {"all": rows}, scen, frozenset(), 0.0)
+        res = _finish(CR, {"all": rows}, cache, 0.0)
         return (res.best_sequence, res.best_value,
                 tuple(res.decisions[z] for z in res.best_sequence.order))
 
@@ -117,7 +119,7 @@ def test_orderings_valued_in_zone_order_returned_in_input_order(
     monkeypatch.setattr(policy, "valuate_sequences", recording)
     seqs = enumerate_sequences(scen.zones)
     shuffled = [seqs[i] for i in (4, 1, 5, 0, 3, 2)]
-    rows = policy._value_all(shuffled, RidershipCache(scen, paths), 3, 1)
+    rows = policy._value_all(shuffled, RidershipCache(scen, paths), 1)
     assert batches == [[s.order for s in seqs[i:i + 2]] for i in (0, 2, 4)]
     assert [s for s, _, _ in rows] == shuffled
     values = dict(cr_policy(scen, paths).tables["all"])
@@ -157,6 +159,61 @@ def test_cr_rnn_rejects_settings_train_would_reject(small, option):
     scen, paths = small  # small enough to fall back to CR without training
     with pytest.raises(TypeError):
         cr_rnn_policy(scen, paths, frac_seq=0.5, pnr_max=0.05, k=2, **option)
+
+
+@pytest.mark.parametrize("n_zones", [5, 7])
+@pytest.mark.parametrize("setting, message", [
+    ({"frac_seq": 5.0}, r"^fraction must be in \(0, 1\], got 5.0"),
+    ({"pnr_max": -1.0}, r"pnr_max must be in \(0, 1\], got -1.0"),
+    ({"thr_fact": 7.0}, r"thr_fact must be in \[0, 1\], got 7.0"),
+    ({"validation_fraction": 1.5},
+     r"validation_fraction must be in \[0, 1\), got 1.5"),
+])
+def test_cr_rnn_rejects_bad_settings_before_valuing(n_zones, setting, message,
+                                                    monkeypatch):
+    # 5 candidates fall back to CR; 7 would sample, label and train.
+    scen = generate_synthetic_scenario(5, n_zones, 2, 100.0)
+    paths = simulate_paths(scen, 10, seed=0)
+
+    def no_valuation(*args):
+        raise AssertionError("valued before rejecting a setting")
+
+    monkeypatch.setattr(policy, "_value_all", no_valuation)
+    settings = dict(frac_seq=0.06, pnr_max=0.05, k=5, thr_fact=0.1) | setting
+    with pytest.raises(ValueError, match=message):
+        cr_rnn_policy(scen, paths, **settings)
+
+
+@pytest.mark.parametrize("option, error", [({"max_epoch": 5}, TypeError),
+                                           ({"validation_fraction": 1.5},
+                                            ValueError)])
+def test_settings_checked_through_a_wrapped_train(small, option, error,
+                                                  monkeypatch):
+    # A timer that wraps train without copying its signature.
+    def timed(*args, **kwargs):
+        return neural_train(*args, **kwargs)
+
+    neural_train = neural.train
+    monkeypatch.setattr(neural, "train", timed)
+    monkeypatch.setattr(policy, "train", timed)
+    with pytest.raises(error):
+        cr_rnn_policy(*small, frac_seq=0.5, pnr_max=0.05, k=2, **option)
+
+
+@pytest.mark.parametrize("call", [
+    lambda scen, paths: cr_policy(scen, paths, j=3),
+    lambda scen, paths: cr_rnn_policy(scen, paths, frac_seq=0.5,
+                                      pnr_max=0.05, k=2, j=3),
+    lambda scen, paths: valuate_sequences(
+        enumerate_sequences(scen.zones), RidershipCache(scen, paths), j=3),
+    lambda scen, paths: valuate_sequence(Sequence(scen.zones), paths, scen,
+                                         j=3),
+    lambda scen, paths: continuation_fit(np.arange(5.0), np.ones(5), j=3),
+], ids=["cr_policy", "cr_rnn_policy", "valuate_sequences", "valuate_sequence",
+        "continuation_fit"])
+def test_no_call_takes_a_basis_size(small, call):
+    with pytest.raises(TypeError, match="'j'"):
+        call(*small)
 
 
 @pytest.fixture(scope="module")

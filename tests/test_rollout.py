@@ -164,6 +164,21 @@ class TestRollout:
             run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
                         policy_kind=kind, workers=-3)
 
+    @pytest.mark.parametrize("kind", [INVEST_ALL, CR, CR_RNN])
+    @pytest.mark.parametrize("covered, message", [
+        (("A", "A"), "sequence repeats zones"),
+        (("A", "Z"), r"unknown zone ids: \['Z'\]"),
+    ], ids=["repeated", "unknown"])
+    def test_bad_initial_covered_rejected_before_simulating(
+            self, kind, covered, message, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting initial_covered")
+
+        monkeypatch.setattr("zoneinvest.rollout.simulate_paths", no_simulation)
+        with pytest.raises(ValueError, match=message):
+            run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
+                        policy_kind=kind, initial_covered=covered)
+
 
 @pytest.mark.parametrize("scen, kw", [
     (generate_synthetic_scenario(6, 4, 2, 90.0),
