@@ -206,14 +206,9 @@ def loss_and_gradients(params, idx, targets, head_kind):
     return loss, grads
 
 
-def forward(model: LstmModel, seq) -> float:
-    """Score one sequence: probability in [0, 1] for the classifier, a
-    non-negative normalized value for the regressor."""
-    return float(scores(model, [seq])[0])
-
-
 def scores(model: LstmModel, candidates) -> np.ndarray:
-    """Vectorized :func:`forward` over same-length sequences.
+    """Score same-length sequences: a probability in [0, 1] for the
+    classifier, a non-negative normalized value for the regressor.
 
     The LSTM runs over chunks of ``SCORE_CHUNK`` rows and keeps only each
     row's final hidden state, so gate arrays do not grow with

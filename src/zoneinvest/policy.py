@@ -101,6 +101,8 @@ def _value_all(seqs, cache, workers) -> list:
     identical for any worker count.
 
     ``cache`` is the valuation context, and each worker receives it whole.
+    With more than one worker the parent first solves every prefix region,
+    so the workers inherit a complete memo and none re-solves a region.
     Orderings are valued in zone order, so a batch's neighbours share
     (prefix set, zone) designs, and mapped back; a value does not depend on
     its batch.
@@ -111,6 +113,8 @@ def _value_all(seqs, cache, workers) -> list:
     if workers == 1:
         valued = _value_batches(ordered, cache)
     else:
+        cache.fill(s.order[:h] for s in ordered
+                   for h in range(len(s.order) + 1))
         chunk = max(1, len(ordered) // (workers * 8))
         chunks = [ordered[i:i + chunk] for i in range(0, len(ordered), chunk)]
         with ProcessPoolExecutor(
@@ -176,6 +180,17 @@ def cr_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
     return _finish(CR, tables, cache, t0)
 
 
+def check_rnn_settings(*, frac_seq: float, pnr_max: float, k: int,
+                       thr_fact: float = 0.1, **train_options) -> None:
+    """Raise for :func:`cr_rnn_policy` settings what its sampling,
+    labelling and training stages would raise, before any of them runs."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    check_train_settings(head_kind=CLASSIFIER, **train_options)
+    check_fraction(frac_seq)
+    check_cutoff_settings(thr_fact, pnr_max)
+
+
 def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
                   frac_seq: float, pnr_max: float, k: int,
                   thr_fact: float = 0.1, seed: int = 0, workers: int = 1,
@@ -188,13 +203,9 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
     sampling and training so each stage is reproducible in isolation.
     """
     # Every setting is checked before anything is valued, also on the paths
-    # that never sample, label or train, by the rules of the stages that
-    # use them.
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    check_train_settings(seed=seed, head_kind=CLASSIFIER, **train_options)
-    check_fraction(frac_seq)
-    check_cutoff_settings(thr_fact, pnr_max)
+    # that never sample, label or train.
+    check_rnn_settings(frac_seq=frac_seq, pnr_max=pnr_max, k=k,
+                       thr_fact=thr_fact, **train_options)
     t0 = time.perf_counter()
     covered = frozenset(covered)
     candidates = sorted(set(scenario.zones) - covered)

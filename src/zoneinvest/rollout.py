@@ -8,8 +8,8 @@ is the deterministic NPV of the covered ordering at the realized demand, and
 its ridership is the covered region's equilibrium total.  Per-path NPV
 discounts the payoffs; the profitability measure divides each epoch's payoff
 by its ridership before discounting.
-Policies are compared path-by-path with a paired t-test whose critical
-values come from a built-in two-sided table.
+Policies are compared path-by-path with a two-sided paired t-test at the
+5 % level, whose critical values come from a built-in table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from ._report import write_report
 from .lsmc import INVEST
-from .policy import CR, CR_RNN, cr_policy, cr_rnn_policy, deterministic_npv
+from .policy import (CR, CR_RNN, check_rnn_settings, cr_policy,
+                     cr_rnn_policy, deterministic_npv)
 from .ridership import cumulative_ridership
 from .scenario import Scenario
 from .sequences import Sequence
@@ -51,41 +52,25 @@ class RolloutResult:
     diff_stats: dict | None = None
 
 
-# Two-sided critical values, df 1..30 then the normal limit.
-_T_CRIT = {
-    0.05: (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
+# Two-sided 5 % critical values, df 1..30 then the normal limit.
+_T_CRIT = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
            2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101,
            2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052,
-           2.048, 2.045, 2.042, 1.960),
-    0.01: (63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250,
-           3.169, 3.106, 3.055, 3.012, 2.977, 2.947, 2.921, 2.898, 2.878,
-           2.861, 2.845, 2.831, 2.819, 2.807, 2.797, 2.787, 2.779, 2.771,
-           2.763, 2.756, 2.750, 2.576),
-    0.001: (636.619, 31.599, 12.924, 8.610, 6.869, 5.959, 5.408, 5.041,
-            4.781, 4.587, 4.437, 4.318, 4.221, 4.140, 4.073, 4.015, 3.965,
-            3.922, 3.883, 3.850, 3.819, 3.792, 3.768, 3.745, 3.725, 3.707,
-            3.690, 3.674, 3.659, 3.646, 3.291),
-}
+           2.048, 2.045, 2.042, 1.960)
 
 
-def t_critical(df: int, alpha: float) -> float:
-    if alpha not in _T_CRIT:
-        raise ValueError(f"alpha must be one of {sorted(_T_CRIT)}, got {alpha}")
+def t_critical(df: int) -> float:
     if df < 1:
         raise ValueError("df must be >= 1")
-    table = _T_CRIT[alpha]
-    return table[df - 1] if df <= 30 else table[-1]
+    return _T_CRIT[df - 1] if df <= 30 else _T_CRIT[-1]
 
 
-def paired_t_test(a, b, alpha: float = 0.05) -> dict:
-    """Two-sided paired t-test of mean(a - b) = 0.
+def paired_t_test(a, b) -> dict:
+    """Two-sided paired t-test of mean(a - b) = 0 at the 5 % level.
 
     Zero-variance differences give t = +-inf (significant) when the mean is
     nonzero and t = 0 (not significant) when every difference vanishes.
-    The confidence interval always uses the alpha = 0.05 critical value.
     """
-    if alpha not in _T_CRIT:
-        raise ValueError(f"alpha must be one of {sorted(_T_CRIT)}, got {alpha}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
@@ -102,11 +87,11 @@ def paired_t_test(a, b, alpha: float = 0.05) -> dict:
     else:
         se = sd / math.sqrt(n)
         t = mean / se
-        half = t_critical(df, 0.05) * se
-        ci = (mean - half, mean + half)
-        significant = abs(t) > t_critical(df, alpha)
+        crit = t_critical(df)
+        ci = (mean - crit * se, mean + crit * se)
+        significant = abs(t) > crit
     return {"mean_diff": mean, "ci": ci, "t": t, "df": df,
-            "significant": significant, "alpha": alpha}
+            "significant": significant, "alpha": 0.05}
 
 
 def _epoch_seed(master: int, path: int, epoch: int) -> int:
@@ -122,7 +107,8 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
 
     ``initial_covered`` zones are in service from the start (positions 1..).
     ``inner`` carries cr_rnn_policy keyword arguments (frac_seq, pnr_max, k,
-    thr_fact, training settings); each epoch re-seeds its inner simulation and policy from
+    thr_fact, training settings), checked before anything is simulated
+    whenever the policy is CR-RNN or ``inner`` is non-empty; each epoch re-seeds its inner simulation and policy from
     (seed, path, epoch) so runs are reproducible and epochs independent of
     path ordering.
     """
@@ -135,6 +121,8 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
     inner = dict(inner or {})
     initial = Sequence(initial_covered).order  # a repeated zone raises
     scenario.subzone_indices(initial)          # so does an unknown one
+    if policy_kind == CR_RNN or inner:
+        check_rnn_settings(**inner)
     rho = scenario.discount_rate
     outer_scen = replace(scenario,
                          horizon_steps=tuple(float(e) for e in range(1, n_epochs + 1)))
@@ -190,12 +178,12 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
     )
 
 
-def compare_rollouts(result: RolloutResult, benchmark: RolloutResult,
-                     alpha: float = 0.05) -> RolloutResult:
+def compare_rollouts(result: RolloutResult,
+                     benchmark: RolloutResult) -> RolloutResult:
     """Attach paired t-test statistics of per-path profitability differences
     (result minus benchmark) to ``result``."""
     stats = paired_t_test(result.pv_profit_per_path,
-                          benchmark.pv_profit_per_path, alpha)
+                          benchmark.pv_profit_per_path)
     stats["benchmark"] = benchmark.policy_kind
     return replace(result, diff_stats=stats)
 

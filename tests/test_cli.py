@@ -240,6 +240,18 @@ def test_invest_all_rollout_workers_below_one_exits_1_without_report(
     assert list(tmp_path.glob("roll.*")) == []
 
 
+def test_invest_all_rollout_bad_pnr_max_exits_1_without_report(
+        tmp_path, scen3, capsys):
+    out = tmp_path / "roll.json"
+    assert main(["rollout", "--scenario", str(scen3), "--outer-paths", "2",
+                 "--epochs", "1", "--policy", "invest-all",
+                 "--pnr-max", "-1", "--out", str(out)]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {"type": "ValueError",
+                              "message": "pnr_max must be in (0, 1], got -1.0"}
+    assert list(tmp_path.glob("roll.*")) == []
+
+
 @pytest.mark.parametrize("fraction", ["-0.2", "1.5"])
 def test_train_validation_fraction_outside_unit_interval_exits_1(
         chain_inputs, tmp_path, capsys, fraction):

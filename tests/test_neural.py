@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from zoneinvest import neural
 from zoneinvest.labeling import LabeledDataset
 from zoneinvest.neural import (CLASSIFIER, REGRESSOR, DivergenceError,
-                               _final_hidden, _logits, _steps, auc, forward,
+                               _final_hidden, _logits, _steps, auc,
                                gap_at_k, init_model, load_model,
                                loss_and_gradients, save_model, score_and_rank,
                                scores, train)
@@ -57,17 +57,17 @@ class TestForward:
         model = init_model(("a", "b", "c"), 4, CLASSIFIER, seed=1)
         zero_params(model)
         for seq in enumerate_sequences(("a", "b", "c"))[:3]:
-            assert forward(model, seq) == 0.5
+            assert scores(model, [seq])[0] == 0.5
 
     def test_zero_parameters_regressor_scores_zero(self):
         model = init_model(("a", "b", "c"), 4, REGRESSOR, seed=1)
         zero_params(model)
-        assert forward(model, Sequence(("b", "a", "c"))) == 0.0
+        assert scores(model, [Sequence(("b", "a", "c"))])[0] == 0.0
 
     def test_unknown_zone_rejected(self):
         model = init_model(("a", "b"), 4, CLASSIFIER, seed=1)
         with pytest.raises(ValueError, match="embedding"):
-            forward(model, Sequence(("a", "z"),))
+            scores(model, [Sequence(("a", "z"))])
 
     def test_matches_hand_unrolled_recurrence(self):
         model = init_model(("a", "b"), 2, CLASSIFIER, seed=0)
@@ -103,7 +103,7 @@ class TestForward:
                     + sig(pre(i, e, d)) * np.tanh(pre(c, e, d)))
             d = sig(pre(o, e, d)) * np.tanh(cell)
         by_hand = sig(p["W_ff"] @ d + p["b_ff"][0])
-        assert forward(model, Sequence(("b", "a"))) == pytest.approx(
+        assert scores(model, [Sequence(("b", "a"))])[0] == pytest.approx(
             by_hand, abs=1e-10)
 
     def test_zone_indices_of_many_sequences(self):
@@ -116,7 +116,7 @@ class TestForward:
     def test_forward_deterministic(self):
         model = init_model(tuple("abcd"), 8, CLASSIFIER, seed=5)
         seq = Sequence(("c", "a", "d", "b"))
-        assert forward(model, seq) == forward(model, seq)
+        assert scores(model, [seq])[0] == scores(model, [seq])[0]
 
 
 class TestGradients:
@@ -321,8 +321,8 @@ class TestTraining:
         ds = separable_dataset()
         model, _ = train(ds, emb_size=16, lr=1e-3, batch_size=4,
                          max_epochs=120, seed=1, validation_fraction=0.0)
-        a = forward(model, Sequence(("a", "b", "c", "d", "e")))
-        b = forward(model, Sequence(("b", "a", "c", "d", "e")))
+        a = scores(model, [Sequence(("a", "b", "c", "d", "e"))])[0]
+        b = scores(model, [Sequence(("b", "a", "c", "d", "e"))])[0]
         assert a != b
 
     @pytest.mark.parametrize("n_positive, fraction, expected", [
@@ -469,7 +469,7 @@ def test_checkpoint_round_trip(tmp_path):
     for name in model.params:
         assert np.array_equal(again.params[name], model.params[name])
     for seq in ds.sequences[:5]:
-        assert forward(again, seq) == forward(model, seq)
+        assert scores(again, [seq])[0] == scores(model, [seq])[0]
 
 
 def test_checkpoint_without_validation_positives_loads(tmp_path):

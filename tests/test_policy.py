@@ -98,6 +98,17 @@ def test_workers_do_not_change_results(small):
     assert seq_values == base
 
 
+def test_pool_parent_solves_every_prefix_region(small):
+    scen, paths = small
+    a, b, c = scen.zones
+    seqs = [Sequence((b, a, c)), Sequence((a, b, c))]
+    cache = RidershipCache(scen, paths)
+    rows = policy._value_all(seqs, cache, 2)
+    # {}, {a}, {b}, {a, b} and {a, b, c}, each solved once, in the parent
+    assert cache.misses == 5
+    assert rows == policy._value_all(seqs, RidershipCache(scen, paths), 1)
+
+
 @pytest.mark.parametrize("workers", [0, -5])
 def test_workers_below_one_rejected(small, workers):
     scen, paths = small

@@ -41,25 +41,24 @@ class TestPairedTTest:
         rng = np.random.default_rng(31)
         a = rng.normal(size=12)
         b = rng.normal(size=12)
-        out = paired_t_test(a, b, alpha=0.001)
+        out = paired_t_test(a, b)
         d = a - b
         se = d.std(ddof=1) / math.sqrt(12)
-        half = t_critical(11, 0.05) * se
+        half = t_critical(11) * se
         assert out["ci"][0] == pytest.approx(d.mean() - half)
         assert out["ci"][1] == pytest.approx(d.mean() + half)
 
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            paired_t_test([1.0, 2.0], [0.0, 1.0], alpha=0.1)
+    def test_alpha_not_accepted(self):
+        with pytest.raises(TypeError):
+            paired_t_test([1.0, 2.0], [0.0, 1.0], alpha=0.01)
 
     def test_critical_table_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
-        for alpha in (0.05, 0.01, 0.001):
-            for df in (1, 2, 5, 10, 23, 30):
-                exact = scipy_stats.t.ppf(1.0 - alpha / 2.0, df)
-                assert t_critical(df, alpha) == pytest.approx(exact, abs=2e-3)
-            assert t_critical(200, alpha) == pytest.approx(
-                scipy_stats.norm.ppf(1.0 - alpha / 2.0), abs=2e-3)
+        for df in (1, 2, 5, 10, 23, 30):
+            exact = scipy_stats.t.ppf(0.975, df)
+            assert t_critical(df) == pytest.approx(exact, abs=2e-3)
+        assert t_critical(200) == pytest.approx(scipy_stats.norm.ppf(0.975),
+                                                abs=2e-3)
 
 
 def flat_two_zone(discount=0.0):
@@ -143,6 +142,9 @@ class TestRollout:
         out = compare_rollouts(a, b)
         assert out.diff_stats["mean_diff"] == 0.0
         assert out.diff_stats["benchmark"] == INVEST_ALL
+        assert out.diff_stats["alpha"] == 0.05
+        with pytest.raises(TypeError):
+            compare_rollouts(a, b, alpha=0.01)
 
     def test_validation(self):
         scen = flat_two_zone()
@@ -163,6 +165,36 @@ class TestRollout:
         with pytest.raises(ValueError, match="workers must be >= 1, got -3"):
             run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
                         policy_kind=kind, workers=-3)
+
+    @pytest.mark.parametrize("kind", [INVEST_ALL, CR, CR_RNN])
+    @pytest.mark.parametrize("setting, error, message", [
+        ({"pnr_max": -1.0}, ValueError, r"pnr_max must be in \(0, 1\]"),
+        ({"thr_fact": 2.0}, ValueError, r"thr_fact must be in \[0, 1\]"),
+        ({"frac_seq": 0.0}, ValueError, r"fraction must be in \(0, 1\]"),
+        ({"k": 0}, ValueError, "k must be >= 1"),
+        ({"validation_fraction": 1.0}, ValueError, "validation_fraction"),
+        ({"epochs": 5}, TypeError, "epochs"),
+    ], ids=["pnr_max", "thr_fact", "frac_seq", "k", "validation", "unknown"])
+    def test_bad_inner_settings_rejected_before_simulating(
+            self, kind, setting, error, message, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting inner settings")
+
+        monkeypatch.setattr("zoneinvest.rollout.simulate_paths", no_simulation)
+        inner = {"frac_seq": 0.5, "pnr_max": 0.05, "k": 5, **setting}
+        with pytest.raises(error, match=message):
+            run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
+                        policy_kind=kind, inner=inner)
+
+    def test_cr_rnn_without_inner_settings_rejected_before_simulating(
+            self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting inner settings")
+
+        monkeypatch.setattr("zoneinvest.rollout.simulate_paths", no_simulation)
+        with pytest.raises(TypeError, match="frac_seq"):
+            run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
+                        policy_kind=CR_RNN)
 
     @pytest.mark.parametrize("kind", [INVEST_ALL, CR, CR_RNN])
     @pytest.mark.parametrize("covered, message", [
