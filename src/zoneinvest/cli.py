@@ -227,6 +227,9 @@ def _dispatch(args) -> None:
     if args.command == "rollout":
         kind = {"cr": policy.CR, "cr-rnn": policy.CR_RNN,
                 "invest-all": rollout.INVEST_ALL}[args.policy]
+        if args.benchmark and args.outer_paths < 2:
+            raise ValueError("--benchmark's paired t-test needs "
+                             f"--outer-paths >= 2, got {args.outer_paths}")
         covered = sequences.Sequence.parse(args.covered).order
         shared = dict(n_paths=args.outer_paths, n_epochs=args.epochs,
                       seed=args.seed, initial_covered=covered,

@@ -237,11 +237,22 @@ def score_and_rank(model: LstmModel, candidates, k: int):
     return ranked[:k]
 
 
-def check_validation_fraction(fraction: float) -> None:
-    """Reject a validation fraction outside [0, 1)."""
-    if not 0.0 <= fraction < 1.0:
+def _check_ranges(*, emb_size: int, lr: float, batch_size: int,
+                  max_epochs: int, patience: int, validation_fraction: float,
+                  **_) -> None:
+    """Reject a training setting out of range, naming it.  ``lr = 0`` and
+    ``max_epochs = 0`` are allowed: both return the initial weights."""
+    for name, value, low in (("emb_size", emb_size, 1),
+                             ("batch_size", batch_size, 1),
+                             ("max_epochs", max_epochs, 0),
+                             ("patience", patience, 0)):
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if not 0.0 <= lr < np.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if not 0.0 <= validation_fraction < 1.0:
         raise ValueError(
-            f"validation_fraction must be in [0, 1), got {fraction}")
+            f"validation_fraction must be in [0, 1), got {validation_fraction}")
 
 
 def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
@@ -258,7 +269,9 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
     are (epoch, val_loss), val_loss None without a split, and epoch 0 is
     the pre-training loss.
     """
-    check_validation_fraction(validation_fraction)
+    _check_ranges(emb_size=emb_size, lr=lr, batch_size=batch_size,
+                  max_epochs=max_epochs, patience=patience,
+                  validation_fraction=validation_fraction)
     seqs = dataset.sequences
     if head_kind == CLASSIFIER:
         targets = dataset.labels.astype(float)
@@ -358,10 +371,10 @@ _TRAIN_SIGNATURE = inspect.signature(train)
 def check_train_settings(**settings) -> None:
     """Raise for keyword ``settings`` what :func:`train` raises before it
     reads its dataset: ``TypeError`` for a name it does not take and
-    ``ValueError`` for a ``validation_fraction`` outside [0, 1)."""
+    ``ValueError`` for a setting out of range."""
     bound = _TRAIN_SIGNATURE.bind(None, **settings)
     bound.apply_defaults()
-    check_validation_fraction(bound.arguments["validation_fraction"])
+    _check_ranges(**bound.arguments)
 
 
 # -- evaluation metrics -------------------------------------------------------

@@ -30,9 +30,6 @@ MAX_ITERATIONS = 1000
 # Demand matrices per region gather in _region_sums: a chunk's gathered
 # sub-matrices are the largest array a cache miss holds.
 REGION_CHUNK = 256
-# Regions per wait-time solve in RidershipCache.fill: the solve's work arrays
-# hold REGION_GROUP * (steps * paths + 1) slices.
-REGION_GROUP = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -54,15 +51,12 @@ class RidershipResult:
     iterations: int
 
 
-def _cost_factor(scenario: Scenario, idx: np.ndarray | None) -> np.ndarray:
-    """exp(-gamma * (c + a_IV * VoT * TIV)) for the selected sub-zones."""
-    price = scenario.trip_price
+def _cost_factor(scenario: Scenario) -> np.ndarray:
+    """exp(-gamma * (c + a_IV * VoT * TIV)) over all sub-zone pairs; a
+    region's factor is gathered from it."""
     tiv = scenario.in_vehicle_time
-    if idx is not None:
-        price = price[np.ix_(idx, idx)]
-        tiv = tiv[np.ix_(idx, idx)]
-    g = scenario.gamma
-    return np.exp(-g * (price + scenario.alpha_iv * scenario.value_of_time * tiv))
+    return np.exp(-scenario.gamma * (
+        scenario.trip_price + scenario.alpha_iv * scenario.value_of_time * tiv))
 
 
 def _wait_of(total, speed):
@@ -146,9 +140,11 @@ def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
     if demand.shape[0] != n:
         raise ValueError(
             f"demand shape {demand.shape} does not match {n} selected sub-zones")
-    factor = _cost_factor(scenario, subzone_index)
-    mult, total, tw, iters = _iterate_wait(
-        (demand * factor).sum(), float(demand.sum()), scenario)
+    factor = _cost_factor(scenario)
+    if subzone_index is not None:  # demand is already the region's matrix
+        factor = factor[np.ix_(subzone_index, subzone_index)]
+    mult, total, tw, iters = _solve_region([demand[None]], np.arange(n),
+                                           factor, scenario)
     return RidershipResult(od_ridership=demand * factor * mult[0],
                            total=float(total[0]), wait_time=float(tw[0]),
                            iterations=int(iters[0]))
@@ -170,9 +166,8 @@ def cumulative_ridership(zone_set, demand: np.ndarray, scenario: Scenario,
         totals = np.zeros(demand.shape[:-2])
     else:
         stack = demand.reshape(-1, *demand.shape[-2:])
-        attracted, raw = np.empty(len(stack)), np.empty(len(stack))
-        _region_sums(stack, idx, _cost_factor(scenario, idx), attracted, raw)
-        _, totals, _, _ = _iterate_wait(attracted, raw, scenario)
+        _, totals, _, _ = _solve_region([stack], idx, _cost_factor(scenario),
+                                        scenario)
         totals = totals.reshape(demand.shape[:-2])
     return float(totals) if totals.ndim == 0 else totals
 
@@ -205,6 +200,23 @@ def _region_sums(stack: np.ndarray, idx: np.ndarray, factor: np.ndarray,
         raw[part] = sub.sum(axis=(-2, -1))
         sub *= factor
         attracted[part] = sub.sum(axis=(-2, -1))
+
+
+def _solve_region(stacks, idx: np.ndarray, factor: np.ndarray,
+                  scenario: Scenario):
+    """Equilibrium of the region ``idx`` in every matrix of ``stacks`` (each
+    [M, N, N]), one slice per matrix in stack order.
+
+    ``factor`` is the cost factor over the matrices' N x N pairs; the
+    region's is gathered from it.  Returns :func:`_iterate_wait`'s
+    (mult, total, wait, iterations) per slice.
+    """
+    factor = factor[idx[:, None], idx]
+    bounds = np.cumsum([0] + [len(stack) for stack in stacks])
+    attracted, raw = np.empty(bounds[-1]), np.empty(bounds[-1])
+    for stack, lo, hi in zip(stacks, bounds, bounds[1:]):
+        _region_sums(stack, idx, factor, attracted[lo:hi], raw[lo:hi])
+    return _iterate_wait(attracted, raw, scenario)
 
 
 def payoff_threshold(position_h: int, scenario: Scenario,
@@ -252,7 +264,7 @@ class RidershipCache:
         self.paths = demand_paths
         self.covered = frozenset(covered)
         self._memo: dict[frozenset, tuple[np.ndarray, float]] = {}
-        self._factor = _cost_factor(scenario, None)
+        self._factor = _cost_factor(scenario)
         self.hits = 0
         self.misses = 0
 
@@ -267,42 +279,23 @@ class RidershipCache:
         return got
 
     def fill(self, prefixes) -> None:
-        """Solve the regions covered | prefix of every prefix not yet in the
-        memo, ``REGION_GROUP`` regions per wait-time solve.
+        """Solve the region covered | prefix of every prefix not yet in the
+        memo, each region on its own."""
+        for key in dict.fromkeys(map(frozenset, prefixes)):
+            if key not in self._memo:
+                self._solve(key)
 
-        Each region's sums are those :func:`cumulative_ridership` forms, and
-        every slice of the solve stops on its own gap, so the totals are the
-        same as solving each region alone.
-        """
-        todo = [k for k in dict.fromkeys(map(frozenset, prefixes))
-                if k not in self._memo]
-        for start in range(0, len(todo), REGION_GROUP):
-            self._solve(todo[start:start + REGION_GROUP])
-
-    def _solve(self, keys) -> None:
+    def _solve(self, key) -> None:
         n_steps, n_paths = self.paths.n_steps, self.paths.n_paths
-        stack = self.paths.values.reshape(-1, *self.paths.values.shape[-2:])
-        base = self.scenario.base_demand[None]
-        # one row per region: the [P, T] stack's slices, then t0
-        attracted = np.empty((len(keys), len(stack) + 1))
-        raw = np.empty_like(attracted)
-        solved = []
-        for key in keys:
-            idx = _region_index(key, self.covered, self.scenario)
-            if idx is None:
-                self._memo[key] = (np.zeros((n_steps, n_paths)), 0.0)
-                continue
-            r = len(solved)
-            factor = self._factor[idx[:, None], idx]
-            _region_sums(stack, idx, factor, attracted[r, :-1], raw[r, :-1])
-            _region_sums(base, idx, factor, attracted[r, -1:], raw[r, -1:])
-            solved.append(key)
-        self.misses += len(keys)
-        if not solved:
+        idx = _region_index(key, self.covered, self.scenario)
+        self.misses += 1
+        if idx is None:
+            self._memo[key] = (np.zeros((n_steps, n_paths)), 0.0)
             return
-        n = len(solved)
-        _, totals, _, _ = _iterate_wait(attracted[:n].ravel(), raw[:n].ravel(),
-                                        self.scenario)
-        for key, row in zip(solved, totals.reshape(n, -1)):
-            self._memo[key] = (row[:-1].reshape(n_paths, n_steps).T.copy(),
-                               float(row[-1]))
+        # the [P, T] stack's slices, then t0
+        stack = self.paths.values.reshape(-1, *self.paths.values.shape[-2:])
+        _, totals, _, _ = _solve_region(
+            [stack, self.scenario.base_demand[None]], idx, self._factor,
+            self.scenario)
+        self._memo[key] = (totals[:-1].reshape(n_paths, n_steps).T.copy(),
+                           float(totals[-1]))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._report import write_report
-from .lsmc import INVEST
+from .lsmc import BASIS_SIZE, INVEST
 from .policy import (CR, CR_RNN, check_rnn_settings, cr_policy,
                      cr_rnn_policy, deterministic_npv)
 from .ridership import cumulative_ridership
@@ -108,9 +108,10 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
     ``initial_covered`` zones are in service from the start (positions 1..).
     ``inner`` carries cr_rnn_policy keyword arguments (frac_seq, pnr_max, k,
     thr_fact, training settings), checked before anything is simulated
-    whenever the policy is CR-RNN or ``inner`` is non-empty; each epoch re-seeds its inner simulation and policy from
-    (seed, path, epoch) so runs are reproducible and epochs independent of
-    path ordering.
+    whenever the policy is CR-RNN or ``inner`` is non-empty; so is
+    ``inner_paths >= BASIS_SIZE``, for every policy kind.  Each epoch
+    re-seeds its inner simulation and policy from (seed, path, epoch) so
+    runs are reproducible and epochs independent of path ordering.
     """
     if policy_kind not in (CR, CR_RNN, INVEST_ALL):
         raise ValueError(f"unknown policy kind {policy_kind!r}")
@@ -118,6 +119,9 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
         raise ValueError("n_paths and n_epochs must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if inner_paths < BASIS_SIZE:  # the inner LSMC fits BASIS_SIZE terms
+        raise ValueError(
+            f"inner_paths must be >= {BASIS_SIZE}, got {inner_paths}")
     inner = dict(inner or {})
     initial = Sequence(initial_covered).order  # a repeated zone raises
     scenario.subzone_indices(initial)          # so does an unknown one

@@ -10,6 +10,8 @@ form, one weight pair per gate and one matmul per gate and step, kept as the
 reference for the fused-gate kernel.  ``gathered_region_totals`` and
 ``per_path_gbm`` are the unchunked region sum and the per-path simulation
 loop, kept as bit-for-bit references for their bounded-memory forms.
+``region_cost_factor`` computes a region's cost factor on its own
+sub-matrices, where the library gathers it from the full one.
 ``realized_totals`` is the rollout's first per-epoch prefix walk, kept as the
 reference for its fold into ``deterministic_npv``.  ``masked_iterate_wait``
 is the wait-time recursion's first form, which masks every array with the
@@ -338,15 +340,25 @@ def per_gate_loss_and_gradients(params, idx, targets, head_kind):
     return loss, grads
 
 
+def region_cost_factor(scenario, idx):
+    """exp(-gamma * (c + a_IV * VoT * TIV)) over the pairs of sub-zones
+    ``idx``, computed from the gathered price and in-vehicle time."""
+    price = scenario.trip_price[np.ix_(idx, idx)]
+    tiv = scenario.in_vehicle_time[np.ix_(idx, idx)]
+    return np.exp(-scenario.gamma * (
+        price + scenario.alpha_iv * scenario.value_of_time * tiv))
+
+
 def gathered_region_totals(zone_set, demand, scenario, covered=()):
     """Equilibrium totals of the region ``zone_set | covered`` for every
     matrix of ``demand`` (2-D or ``[..., N, N]``), from one gather of the
-    whole stack; reuses the library's cost factor and wait recursion."""
-    from zoneinvest.ridership import _cost_factor, _iterate_wait
+    whole stack and ``region_cost_factor``; reuses the library's wait
+    recursion."""
+    from zoneinvest.ridership import _iterate_wait
 
     idx = scenario.subzone_indices(frozenset(zone_set) | frozenset(covered))
     sub = demand[..., idx[:, None], idx[None, :]]
-    attracted = (sub * _cost_factor(scenario, idx)).sum(axis=(-2, -1))
+    attracted = (sub * region_cost_factor(scenario, idx)).sum(axis=(-2, -1))
     _, totals, _, _ = _iterate_wait(attracted.ravel(),
                                     sub.sum(axis=(-2, -1)).ravel(), scenario)
     return totals.reshape(demand.shape[:-2])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zoneinvest import policy
+from zoneinvest import policy, rollout
 from zoneinvest.cli import main
 from zoneinvest.scenario import (generate_synthetic_scenario, load_scenario,
                                  save_scenario)
@@ -276,6 +276,64 @@ def test_cr_rnn_bad_setting_exits_1_without_report(tmp_path, capsys):
     assert block["error"] == {"type": "ValueError",
                               "message": "pnr_max must be in (0, 1], got -1.0"}
     assert list(tmp_path.glob("r.*")) == []
+
+
+@pytest.mark.parametrize("batch", ["-1", "0"])
+def test_train_batch_below_one_exits_1_without_model(chain_inputs, tmp_path,
+                                                     capsys, batch):
+    out = tmp_path / "model.json"
+    assert main(["train", "--labeled", str(chain_inputs / "labeled.csv"),
+                 "--out", str(out), "--emb-size", "4", "--epochs", "2",
+                 "--batch", batch]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {"type": "ValueError",
+                              "message": f"batch_size must be >= 1, got {batch}"}
+    assert list(tmp_path.glob("model.*")) == []
+
+
+def test_cr_rnn_batch_zero_exits_1_without_files(tmp_path, capsys):
+    scen = tmp_path / "scen" / "scenario.json"
+    save_scenario(generate_synthetic_scenario(5, 7, 2, 100.0), scen)
+    out = tmp_path / "r.json"
+    assert main(["cr-rnn", "--scenario", str(scen), "--paths", "10",
+                 "--batch", "0", "--out", str(out),
+                 "--model-out", str(tmp_path / "m.json"),
+                 "--labeled-out", str(tmp_path / "l.csv")]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {"type": "ValueError",
+                              "message": "batch_size must be >= 1, got 0"}
+    assert [p.name for p in tmp_path.iterdir()] == ["scen"]
+
+
+@pytest.mark.parametrize("policy_flag", ["invest-all", "cr"])
+def test_rollout_inner_paths_below_basis_size_exits_1_without_report(
+        tmp_path, scen3, capsys, policy_flag):
+    out = tmp_path / "roll.json"
+    assert main(["rollout", "--scenario", str(scen3), "--outer-paths", "2",
+                 "--epochs", "1", "--policy", policy_flag,
+                 "--inner-paths", "-5", "--out", str(out)]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {"type": "ValueError",
+                              "message": "inner_paths must be >= 3, got -5"}
+    assert list(tmp_path.glob("roll.*")) == []
+
+
+def test_rollout_benchmark_of_one_path_exits_1_before_running(
+        tmp_path, scen3, capsys, monkeypatch):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("ran a rollout before rejecting --outer-paths")
+
+    monkeypatch.setattr(rollout, "run_rollout", no_rollout)
+    out = tmp_path / "roll.json"
+    assert main(["rollout", "--scenario", str(scen3), "--outer-paths", "1",
+                 "--epochs", "1", "--policy", "invest-all", "--benchmark",
+                 "--out", str(out)]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"] == {
+        "type": "ValueError",
+        "message": "--benchmark's paired t-test needs --outer-paths >= 2, "
+                   "got 1"}
+    assert list(tmp_path.glob("roll.*")) == []
 
 
 def test_label_population_below_sample_exits_1_without_files(

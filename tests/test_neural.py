@@ -345,6 +345,29 @@ class TestTraining:
             train(separable_dataset(), emb_size=4, max_epochs=1,
                   validation_fraction=fraction)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"batch_size": -1}, "batch_size must be >= 1, got -1"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"emb_size": 0}, "emb_size must be >= 1, got 0"),
+        ({"max_epochs": -3}, "max_epochs must be >= 0, got -3"),
+        ({"patience": -1}, "patience must be >= 0, got -1"),
+        ({"lr": -1e-3}, r"lr must be finite and >= 0, got -0.001"),
+        ({"lr": float("nan")}, "lr must be finite and >= 0, got nan"),
+        ({"lr": float("inf")}, "lr must be finite and >= 0, got inf"),
+    ], ids=["batch-1", "batch0", "emb0", "epochs-3", "patience-1", "lr-neg",
+            "lr-nan", "lr-inf"])
+    def test_out_of_range_setting_rejected_by_name(self, setting, message,
+                                                   monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("initialized before rejecting a setting")
+
+        monkeypatch.setattr(neural, "init_model", no_work)
+        kw = dict(emb_size=4, batch_size=4, max_epochs=1) | setting
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(separable_dataset(), **kw)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            neural.check_train_settings(**setting)
+
     def test_regressor_trains_on_normalized_values(self):
         seqs = enumerate_sequences(tuple("abcd"))[:16]
         values = np.linspace(10.0, 40.0, 16)

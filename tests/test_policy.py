@@ -195,6 +195,28 @@ def test_cr_rnn_rejects_bad_settings_before_valuing(n_zones, setting, message,
         cr_rnn_policy(scen, paths, **settings)
 
 
+@pytest.mark.parametrize("n_zones", [5, 7])
+@pytest.mark.parametrize("setting, message", [
+    ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ({"emb_size": 0}, "emb_size must be >= 1, got 0"),
+    ({"max_epochs": -3}, "max_epochs must be >= 0, got -3"),
+    ({"patience": -1}, "patience must be >= 0, got -1"),
+    ({"lr": -1e-3}, "lr must be finite and >= 0, got -0.001"),
+], ids=["batch", "emb", "epochs", "patience", "lr"])
+def test_cr_rnn_rejects_out_of_range_training_before_valuing(
+        n_zones, setting, message, monkeypatch):
+    scen = generate_synthetic_scenario(5, n_zones, 2, 100.0)
+    paths = simulate_paths(scen, 10, seed=0)
+
+    def no_valuation(*args):
+        raise AssertionError("valued before rejecting a setting")
+
+    monkeypatch.setattr(policy, "_value_all", no_valuation)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cr_rnn_policy(scen, paths, frac_seq=0.06, pnr_max=0.05, k=5,
+                      **setting)
+
+
 @pytest.mark.parametrize("option, error", [({"max_epoch": 5}, TypeError),
                                            ({"validation_fraction": 1.5},
                                             ValueError)])

@@ -13,11 +13,12 @@ from zoneinvest.ridership import (ConvergenceError, RidershipCache,
                                   _cost_factor, cumulative_ridership,
                                   equilibrium_ridership, payoff_threshold,
                                   zone_payoff)
+from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.stochastic import simulate_paths
 
 from conftest import make_scenario, single_od_scenario
 from oracles import (bisect_ridership_root, gathered_region_totals,
-                     masked_iterate_wait)
+                     masked_iterate_wait, region_cost_factor)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
@@ -319,27 +320,28 @@ def test_cache_fill_memory_is_bounded(synth7):
 
 
 def test_cost_factor_gathered_from_the_full_matrix(synth7):
-    """The cache computes the cost factor once and gathers each region's."""
-    full = _cost_factor(synth7, None)
+    """The cost factor is computed once over all pairs and each region's
+    gathered from it, equal to computing it on the region's sub-matrices."""
+    full = _cost_factor(synth7)
     for r in range(1, len(synth7.zones) + 1):
         for zones in itertools.combinations(synth7.zones, r):
             idx = synth7.subzone_indices(frozenset(zones))
             assert np.array_equal(full[idx[:, None], idx],
-                                  _cost_factor(synth7, idx))
+                                  region_cost_factor(synth7, idx))
 
 
 class TestGroupedFill:
-    """``RidershipCache.fill`` solves many regions per wait-time call; each
-    region's totals are those of solving it alone, bit for bit."""
+    """``RidershipCache.fill`` solves a batch's missing regions; however the
+    batches are cut, each region's totals are those of solving it alone,
+    bit for bit."""
 
     @pytest.fixture(scope="class")
     def paths(self, synth7):
         return simulate_paths(synth7, 6, seed=4)
 
     @PROPERTY
-    @given(st.data(), st.sampled_from([1, 2, 3, 5]))
-    def test_any_grouping_equals_solving_alone(self, synth7, paths, data,
-                                               group):
+    @given(st.data())
+    def test_any_grouping_equals_solving_alone(self, synth7, paths, data):
         covered = data.draw(st.lists(st.sampled_from(synth7.zones),
                                      max_size=3, unique=True))
         rest = [z for z in synth7.zones if z not in covered]
@@ -348,12 +350,10 @@ class TestGroupedFill:
         cuts = sorted(data.draw(st.lists(st.integers(0, len(regions)),
                                          max_size=3)))
         cache = RidershipCache(synth7, paths, covered)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ridership, "REGION_GROUP", group)
-            if data.draw(st.booleans()):   # one region on its own first
-                cache.cumulative(regions[0])
-            for lo, hi in zip([0, *cuts], [*cuts, len(regions)]):
-                cache.fill(regions[lo:hi])
+        if data.draw(st.booleans()):   # one region on its own first
+            cache.cumulative(regions[0])
+        for lo, hi in zip([0, *cuts], [*cuts, len(regions)]):
+            cache.fill(regions[lo:hi])
         distinct = set(regions)
         assert cache.misses == len(distinct)
         for region in data.draw(st.permutations(sorted(distinct, key=sorted))):
@@ -382,7 +382,7 @@ class TestGroupedFill:
 
 def test_grouped_fill_memory_is_bounded(synth7):
     """Filling all 2^7 regions at H = 7, P = 300 holds the memo and one
-    group's wait-time solve at a time."""
+    region's wait-time solve at a time."""
     cache = RidershipCache(synth7, simulate_paths(synth7, 300, seed=11))
     regions = [c for r in range(len(synth7.zones) + 1)
                for c in itertools.combinations(synth7.zones, r)]
@@ -394,3 +394,17 @@ def test_grouped_fill_memory_is_bounded(synth7):
         tracemalloc.stop()
     assert cache.misses == 128
     assert peak < 5e6
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 16), st.integers(1, 5), st.integers(1, 4),
+       st.sampled_from([0.0, 1.0, 100.0, 5e3]))
+def test_one_solve_behind_every_entry_point(seed, n_zones, per_zone, scale):
+    """The full region's total at t0 is the same number from the
+    single-matrix solver, the region function and the cache."""
+    scen = generate_synthetic_scenario(seed, n_zones, per_zone, scale)
+    paths = simulate_paths(scen, 3, seed=seed)
+    single = equilibrium_ridership(scen.base_demand, scen).total
+    region = cumulative_ridership(scen.zones, scen.base_demand, scen)
+    cached = RidershipCache(scen, paths).cumulative(scen.zones)[1]
+    assert single == region == cached

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zoneinvest.lsmc import BASIS_SIZE
 from zoneinvest.policy import CR, CR_RNN
 from zoneinvest.ridership import cumulative_ridership
 from zoneinvest.rollout import (INVEST_ALL, compare_rollouts, paired_t_test,
@@ -185,6 +186,25 @@ class TestRollout:
         with pytest.raises(error, match=message):
             run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
                         policy_kind=kind, inner=inner)
+
+    @pytest.mark.parametrize("kind", [INVEST_ALL, CR, CR_RNN])
+    @pytest.mark.parametrize("inner_paths", [-5, 0, 2])
+    def test_inner_paths_below_basis_size_rejected_before_simulating(
+            self, kind, inner_paths, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting inner_paths")
+
+        monkeypatch.setattr("zoneinvest.rollout.simulate_paths", no_simulation)
+        inner = {"frac_seq": 0.5, "pnr_max": 0.05, "k": 5}
+        with pytest.raises(ValueError, match=(
+                f"^inner_paths must be >= {BASIS_SIZE}, got {inner_paths}$")):
+            run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
+                        policy_kind=kind, inner=inner, inner_paths=inner_paths)
+
+    def test_inner_paths_of_basis_size_runs(self):
+        res = run_rollout(flat_two_zone(), n_paths=1, n_epochs=2, seed=1,
+                          policy_kind=CR, inner_paths=BASIS_SIZE)
+        assert len(res.records) == 2
 
     def test_cr_rnn_without_inner_settings_rejected_before_simulating(
             self, monkeypatch):
