@@ -194,9 +194,6 @@ def valuate_sequences(orders, cache: RidershipCache) -> list[SequenceValuation]:
         if len(seq) != h_len:
             raise ValueError(
                 f"sequences must share one length, got {h_len} and {len(seq)}")
-        overlap = covered & set(seq.order)
-        if overlap:
-            raise ValueError(f"sequence zones already covered: {sorted(overlap)}")
     n_paths = cache.paths.n_paths
     if h_len == 0:
         return [SequenceValuation(seq, 0.0, np.empty((0, n_paths), dtype=int),

@@ -302,9 +302,6 @@ def train(dataset: LabeledDataset, *, emb_size: int = 50, lr: float = 1e-3,
             val_mask[rng.choice(pool, size=n_val, replace=False)] = True
     train_idx = np.flatnonzero(~val_mask)
     val_idx = np.flatnonzero(val_mask)
-    if head_kind == CLASSIFIER and (
-            targets[train_idx].max() == 0 or targets[train_idx].min() == 1):
-        raise ValueError("validation split left a single-class training set")
 
     shapes = {name: model.params[name].shape for name in PARAMS}
     theta = np.concatenate([model.params[name].ravel() for name in PARAMS])

@@ -104,9 +104,14 @@ def _iterate_wait(attracted_sum, init_total, scenario: Scenario):
     return mult, total, tw, iters
 
 
-def _check_demand(demand: np.ndarray) -> None:
-    """Reject a negative or NaN entry.  A reduction, not ``demand < 0``: no
-    temporary the size of the demand."""
+def _check_demand(demand: np.ndarray, n: int) -> None:
+    """Reject demand not shaped [..., n, n] over n >= 1 sub-zones, or with a
+    negative or NaN entry: a reduction, not ``demand < 0``, so no temporary
+    the size of the demand."""
+    if n < 1:
+        raise ValueError("selected sub-zones must be nonempty")
+    if demand.shape[-2:] != (n, n):
+        raise ValueError(f"demand shape {demand.shape} does not end in ({n}, {n})")
     if demand.size and not demand.min() >= 0:
         raise ValueError("demand entries must be >= 0 and not NaN")
 
@@ -131,15 +136,10 @@ def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
         ``MAX_ITERATIONS`` iterations.
     """
     demand = np.asarray(demand, dtype=float)
-    if demand.size == 0:
-        raise ValueError("selected sub-zones must be nonempty")
-    if demand.ndim != 2 or demand.shape[0] != demand.shape[1]:
-        raise ValueError(f"demand must be square, got shape {demand.shape}")
-    _check_demand(demand)
+    if demand.ndim != 2:
+        raise ValueError(f"demand must be one matrix, got shape {demand.shape}")
     n = scenario.n_subzones if subzone_index is None else len(subzone_index)
-    if demand.shape[0] != n:
-        raise ValueError(
-            f"demand shape {demand.shape} does not match {n} selected sub-zones")
+    _check_demand(demand, n)
     factor = _cost_factor(scenario)
     if subzone_index is not None:  # demand is already the region's matrix
         factor = factor[np.ix_(subzone_index, subzone_index)]
@@ -160,7 +160,7 @@ def cumulative_ridership(zone_set, demand: np.ndarray, scenario: Scenario,
     the zone set (not on ordering).  An empty region has ridership 0.
     """
     demand = np.asarray(demand, dtype=float)
-    _check_demand(demand)
+    _check_demand(demand, scenario.n_subzones)
     idx = _region_index(zone_set, covered, scenario)
     if idx is None:
         totals = np.zeros(demand.shape[:-2])
@@ -259,7 +259,7 @@ class RidershipCache:
         if demand_paths.n_steps != horizon:
             raise ValueError(f"paths cover {demand_paths.n_steps} steps, "
                              f"scenario horizon has {horizon}")
-        _check_demand(demand_paths.values)
+        _check_demand(demand_paths.values, scenario.n_subzones)
         self.scenario = scenario
         self.paths = demand_paths
         self.covered = frozenset(covered)

@@ -111,7 +111,8 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
     whenever the policy is CR-RNN or ``inner`` is non-empty; so is
     ``inner_paths >= BASIS_SIZE``, for every policy kind.  Each epoch
     re-seeds its inner simulation and policy from (seed, path, epoch) so
-    runs are reproducible and epochs independent of path ordering.
+    runs are reproducible and epochs independent of path ordering; an
+    ``inner`` that sets ``seed`` is rejected.
     """
     if policy_kind not in (CR, CR_RNN, INVEST_ALL):
         raise ValueError(f"unknown policy kind {policy_kind!r}")
@@ -123,6 +124,9 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
         raise ValueError(
             f"inner_paths must be >= {BASIS_SIZE}, got {inner_paths}")
     inner = dict(inner or {})
+    if "seed" in inner:
+        raise ValueError("inner must not set seed: each epoch's policy seed "
+                         "is derived from (seed, path, epoch)")
     initial = Sequence(initial_covered).order  # a repeated zone raises
     scenario.subzone_indices(initial)          # so does an unknown one
     if policy_kind == CR_RNN or inner:

@@ -116,7 +116,7 @@ class Scenario:
         if not self.zones:
             raise ScenarioError("zones is empty")
         if len(set(self.zones)) != len(self.zones):
-            raise ScenarioError("duplicate zone ids")
+            raise ScenarioError("zones has duplicate ids")
         mapped = set(self.subzone_to_zone.values())
         orphans = mapped - set(self.zones)
         if orphans:
@@ -165,25 +165,27 @@ class Scenario:
 # -- file I/O ----------------------------------------------------------------
 
 
-def _read_matrix_csv(path: Path, expected: tuple[SubzoneId, ...]) -> np.ndarray:
+def _read_matrix_csv(path: Path, expected: tuple[SubzoneId, ...],
+                     field: str) -> np.ndarray:
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
-        raise ScenarioError(f"{path}: empty matrix file")
+        raise ScenarioError(f"{field} ({path}): empty matrix file")
     header = tuple(h.strip() for h in lines[0].split(","))
     if header != expected:
         raise ScenarioError(
-            f"{path}: header {header} does not match declared sub-zones {expected}")
+            f"{field} ({path}): header {header} does not match sub-zones {expected}")
     rows = []
     for ln in lines[1:]:
         try:
             rows.append([float(v) for v in ln.split(",")])
         except ValueError as exc:
-            raise ScenarioError(f"{path}: non-numeric value ({exc})") from None
+            raise ScenarioError(
+                f"{field} ({path}): non-numeric value ({exc})") from None
     mat = np.array(rows, dtype=float)
     n = len(expected)
     if mat.shape != (n, n):
         raise ScenarioError(
-            f"{path}: matrix shape {mat.shape} does not match {n} sub-zones")
+            f"{field} ({path}): shape {mat.shape} does not match {n} sub-zones")
     return mat
 
 
@@ -231,7 +233,7 @@ def load_scenario(path) -> Scenario:
         if val is None:
             return None
         if isinstance(val, str):
-            return _read_matrix_csv(base / val, subzones)
+            return _read_matrix_csv(base / val, subzones, key)
         if isinstance(val, (int, float)):
             return np.full((len(subzones), len(subzones)), float(val))
         return np.asarray(val, dtype=float)

@@ -123,8 +123,6 @@ def simulate_paths(scenario: Scenario, n_paths: int, seed: int) -> DemandPaths:
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if any(v < 0 for v in scenario.zone_volatility.values()):
-        raise ValueError("volatilities must be >= 0")
     sigma = scenario.sigma_by_origin()
     mu = scenario.drift
     n = scenario.n_subzones

@@ -293,6 +293,27 @@ class TestTraining:
         with pytest.raises(ValueError, match="class"):
             train(make_labeled(seqs, [1] * 6), validation_fraction=0.0)
 
+    def test_constant_values_rejected_for_regressor(self):
+        seqs = enumerate_sequences(("a", "b", "c"))
+        ds = make_labeled(seqs, [0, 1] * 3, values=[7.0] * 6)
+        with pytest.raises(ValueError, match="non-constant values"):
+            train(ds, validation_fraction=0.0, head_kind=REGRESSOR)
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 1), min_size=2, max_size=24).filter(
+               lambda labels: 0 < sum(labels) < len(labels)),
+           st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2 ** 16))
+    def test_split_keeps_both_classes_in_training(self, labels, fraction,
+                                                  seed):
+        # The split holds out at most len(pool) - 1 rows of each class, so
+        # a dataset with both classes always trains on both.
+        seqs = enumerate_sequences(("a", "b", "c", "d"))[:len(labels)]
+        ds = make_labeled(seqs, labels)
+        model, _ = train(ds, emb_size=2, max_epochs=0, seed=seed,
+                         validation_fraction=fraction)
+        held = model.training_meta["validation_positives"]
+        assert held is None or held <= ds.n_positive - 1
+
     def test_deterministic_per_seed(self):
         ds = separable_dataset()
         m1, h1 = train(ds, emb_size=8, batch_size=8, max_epochs=5, seed=9)

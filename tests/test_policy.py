@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import mannwhitneyu
 
 from zoneinvest.lsmc import (continuation_fit, valuate_sequence,
                              valuate_sequences)
@@ -293,12 +294,60 @@ def test_evaluate_retrieval_reports_gap_and_auc(small, monkeypatch):
     table = {Sequence.parse(s).order: v for s, v in res.tables["all"]}
     rnn = cr_rnn_policy(scen, paths, frac_seq=0.5, pnr_max=0.5, k=2, seed=0)
     train_orders = [s.order for s in rnn.dataset.sequences]
+    test_orders = sorted(o for o in table if o not in set(train_orders))
+    test_values = np.array([table[o] for o in test_orders])
+    # a cutoff at the middle test value leaves both labels in the test pool
+    eta_bin = float(np.sort(test_values)[len(test_values) // 2])
     metrics = evaluate_retrieval(rnn.model, table, train_orders, k=2,
-                                 eta_bin=rnn.dataset.eta_bin)
-    test_orders = [o for o in table if o not in set(train_orders)]
-    assert metrics["eta_true"] == max(table[o] for o in test_orders)
+                                 eta_bin=eta_bin)
+    assert metrics["eta_true"] == test_values.max()
     assert 0.0 <= metrics["gap_at_k"] <= 100.0
     assert metrics["eta_pred"] <= metrics["eta_true"]
+    test_scores = neural.scores(rnn.model, [Sequence(o) for o in test_orders])
+    pos, neg = (test_scores[test_values >= eta_bin],
+                test_scores[test_values < eta_bin])
+    assert len(pos) and len(neg)
+    u = mannwhitneyu(pos, neg).statistic
+    assert metrics["auc"] == pytest.approx(u / (len(pos) * len(neg)),
+                                           rel=1e-12)
+    above_all = evaluate_retrieval(rnn.model, table, train_orders, k=2,
+                                   eta_bin=test_values.max() + 1.0)
+    assert above_all["auc"] is None
+
+
+def test_cr_rnn_training_failure_names_the_sample(small, monkeypatch):
+    monkeypatch.setattr(policy, "SMALL_H_FALLBACK", 2)
+
+    def failing_train(*args, **kwargs):
+        raise ValueError("optimizer exploded")
+
+    monkeypatch.setattr(policy, "train", failing_train)
+    with pytest.raises(RuntimeError, match=(
+            "^CR-RNN classifier training failed on 3 sampled sequences: "
+            "optimizer exploded$")) as caught:
+        cr_rnn_policy(*small, frac_seq=0.5, pnr_max=0.5, k=2, seed=0)
+    assert isinstance(caught.value.__cause__, ValueError)
+
+
+def test_cr_policy_with_every_zone_covered_rejected(small):
+    scen, paths = small
+    with pytest.raises(ValueError, match="no candidate zones outside"):
+        cr_policy(scen, paths, covered=scen.zones)
+
+
+@pytest.mark.parametrize("call", [
+    lambda scen, paths: cr_policy(scen, paths),
+    lambda scen, paths: valuate_sequence(Sequence(scen.zones), paths, scen),
+], ids=["cr_policy", "valuate_sequence"])
+@pytest.mark.parametrize("n_zones", [2, 4], ids=["smaller", "larger"])
+def test_paths_of_another_subzone_count_rejected(call, n_zones):
+    scen = generate_synthetic_scenario(1, 3, 2, 100.0)
+    paths = simulate_paths(generate_synthetic_scenario(1, n_zones, 2, 100.0),
+                           20, seed=0)
+    with pytest.raises(ValueError, match=(
+            rf"demand shape \(20, 5, {2 * n_zones}, {2 * n_zones}\) "
+            rf"does not end in \(6, 6\)")):
+        call(scen, paths)
 
 
 def test_npv_uses_best_sequence_order(small):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -103,6 +104,22 @@ def test_wait_iteration_equals_the_masked_recursion(slices, gamma, cap):
         got = ridership._iterate_wait(attracted, raw, scen)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("demand, index, message", [
+    (np.zeros((0, 0)), np.array([], dtype=int), "sub-zones must be nonempty"),
+    (np.ones((4, 3)), None, r"shape \(4, 3\) does not end in \(4, 4\)"),
+    (np.ones((2, 4, 4)), None, r"one matrix, got shape \(2, 4, 4\)"),
+    (np.ones((3, 3)), None, r"shape \(3, 3\) does not end in \(4, 4\)"),
+    (np.ones((2, 2)), np.array([0, 1, 2]),
+     r"shape \(2, 2\) does not end in \(3, 3\)"),
+    (-np.ones((4, 4)), None, ">= 0"),
+    (np.full((4, 4), np.nan), None, "NaN"),
+], ids=["empty", "non-square", "3-d", "wrong-size", "wrong-selection",
+        "negative", "nan"])
+def test_equilibrium_rejects_bad_demand(two_zone, demand, index, message):
+    with pytest.raises(ValueError, match=message):
+        equilibrium_ridership(demand, two_zone, index)
 
 
 class TestCumulative:
@@ -240,6 +257,24 @@ class TestStacked:
             RidershipCache(two_zone, replace(paths, values=bad))
         with pytest.raises(ValueError, match="NaN"):
             equilibrium_ridership(bad[0, 0], two_zone)
+
+    @pytest.mark.parametrize("shape", [(12, 5, 6, 6), (12, 5, 3, 3), (6, 6),
+                                       (3, 3), (16,)],
+                             ids=["larger", "smaller", "larger-single",
+                                  "smaller-single", "1-d"])
+    def test_demand_of_another_subzone_count_rejected(self, two_zone, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"demand shape {shape} does not end in (4, 4)")):
+            cumulative_ridership(("A", "B"), np.ones(shape), two_zone)
+
+    @pytest.mark.parametrize("n_zones", [2, 4], ids=["smaller", "larger"])
+    def test_cache_rejects_paths_of_another_subzone_count(self, n_zones):
+        scen = generate_synthetic_scenario(1, 3, 2, 100.0)
+        paths = simulate_paths(generate_synthetic_scenario(1, n_zones, 2, 100.0),
+                               4, seed=0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"demand shape {paths.values.shape} does not end in (6, 6)")):
+            RidershipCache(scen, paths)
 
     def test_cache_rejects_paths_off_the_horizon(self, two_zone, paths):
         short = replace(paths, values=paths.values[:, :-1])

@@ -49,6 +49,12 @@ class TestPairedTTest:
         assert out["ci"][0] == pytest.approx(d.mean() - half)
         assert out["ci"][1] == pytest.approx(d.mean() + half)
 
+    @pytest.mark.parametrize("a, b", [([1.0], [0.0]), ([1.0, 2.0], [0.0])],
+                             ids=["size-1", "unequal"])
+    def test_samples_below_two_or_unequal_rejected(self, a, b):
+        with pytest.raises(ValueError, match="equal-length samples of size >= 2"):
+            paired_t_test(a, b)
+
     def test_alpha_not_accepted(self):
         with pytest.raises(TypeError):
             paired_t_test([1.0, 2.0], [0.0, 1.0], alpha=0.01)
@@ -186,6 +192,27 @@ class TestRollout:
         with pytest.raises(error, match=message):
             run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
                         policy_kind=kind, inner=inner)
+
+    @pytest.mark.parametrize("kind", [INVEST_ALL, CR, CR_RNN])
+    def test_inner_seed_rejected_before_simulating(self, kind, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting inner seed")
+
+        monkeypatch.setattr("zoneinvest.rollout.simulate_paths", no_simulation)
+        inner = {"frac_seq": 0.5, "pnr_max": 0.05, "k": 5, "seed": 3}
+        with pytest.raises(ValueError, match="inner must not set seed"):
+            run_rollout(flat_two_zone(), n_paths=1, n_epochs=1, seed=1,
+                        policy_kind=kind, inner=inner)
+
+    def test_policy_failure_names_path_and_epoch(self, monkeypatch):
+        def failing_policy(*args, **kwargs):
+            raise ValueError("no ordering valued")
+
+        monkeypatch.setattr("zoneinvest.rollout.cr_policy", failing_policy)
+        with pytest.raises(RuntimeError, match=(
+                f"^{CR} policy failed at path 0, epoch 1: no ordering valued$")):
+            run_rollout(flat_two_zone(), n_paths=1, n_epochs=2, seed=1,
+                        policy_kind=CR, inner_paths=BASIS_SIZE)
 
     @pytest.mark.parametrize("kind", [INVEST_ALL, CR, CR_RNN])
     @pytest.mark.parametrize("inner_paths", [-5, 0, 2])

@@ -116,6 +116,75 @@ def test_non_numeric_config_value_names_the_field(tmp_path, override, field):
         load_scenario(write_config(tmp_path, **override))
 
 
+FOUR = np.ones((4, 4))
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"zones": ()}, "zones is empty"),
+    ({"zones": ("A", "B", "A")}, "zones has duplicate ids"),
+    ({"subzone_to_zone": {"a1": "A", "a2": "A", "b1": "B", "b2": "C"}},
+     r"subzone_to_zone maps to unknown zones: \['C'\]"),
+    ({"zones": ("A", "B", "C"),
+      "zone_volatility": {"A": 0.2, "B": 0.3, "C": 0.1}},
+     r"zones without sub-zones: \['C'\]"),
+    ({"base_demand": np.ones((4, 3))}, r"base_demand has shape \(4, 3\)"),
+    ({"trip_price": -FOUR}, "trip_price must be finite and >= 0"),
+    ({"in_vehicle_time": np.where(np.eye(4), np.inf, FOUR)},
+     "in_vehicle_time must be finite and >= 0"),
+    ({"base_demand": np.where(np.eye(4), np.nan, FOUR)},
+     "base_demand must be finite and >= 0"),
+    ({"discount_rate": -1.0}, "discount_rate must be > -1"),
+    ({"speed": 0.0}, "speed must be positive"),
+    ({"horizon_steps": (0.0, 1.0)}, "horizon_steps must start after t0"),
+], ids=["no-zones", "duplicate-zones", "unknown-zone", "empty-zone",
+        "matrix-shape", "negative-matrix", "infinite-matrix", "nan-matrix",
+        "discount", "speed", "horizon-start"])
+def test_scenario_rejects_broken_invariant(two_zone, override, field):
+    with pytest.raises(ScenarioError, match=field):
+        replace(two_zone, **override)
+
+
+def _csv_for(key, text):
+    """Point config ``key`` at a new CSV file holding ``text``."""
+    def mutate(doc, folder):
+        (folder / "bad.csv").write_text(text)
+        doc[key] = "bad.csv"
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda doc, folder: doc.pop("zones"), "missing required key 'zones'"),
+    (lambda doc, folder: doc.pop("zone_volatility"),
+     "missing required key 'zone_volatility'"),
+    (lambda doc, folder: doc.pop("trip_price"), "missing 'trip_price'"),
+    (lambda doc, folder: doc.pop("in_vehicle_time"),
+     "'in_vehicle_time' or 'subzone_coordinates'"),
+    (_csv_for("base_demand", "\n"), r"base_demand \(.*bad.csv\): empty matrix"),
+    (_csv_for("base_demand", "a1,a2,b1,x9\n" + "1,1,1,1\n" * 4),
+     r"base_demand \(.*bad.csv\): header"),
+    (_csv_for("base_demand",
+              "a1,a2,b1,b2\n" + "1,1,1,1\n" * 3 + "1,1,many,1\n"),
+     r"base_demand \(.*bad.csv\): non-numeric value"),
+    (_csv_for("trip_price", "\n"), r"trip_price \(.*bad.csv\): empty matrix"),
+], ids=["zones", "volatility", "trip-price", "travel-time", "empty-csv",
+        "header", "non-numeric", "csv-names-its-key"])
+def test_load_scenario_rejects_config_naming_the_field(tmp_path, mutate,
+                                                       field):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    mutate(doc, tmp_path)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(path)
+
+
+def test_inline_matrix_accepted(tmp_path):
+    demand = [[10.0, 1.0, 2.0, 3.0], [4.0, 20.0, 5.0, 6.0],
+              [7.0, 8.0, 30.0, 9.0], [1.5, 2.5, 3.5, 40.0]]
+    scen = load_scenario(write_config(tmp_path, base_demand=demand))
+    assert np.array_equal(scen.base_demand, demand)
+
+
 def test_given_cost_kept_when_the_other_is_derived(tmp_path):
     scen = load_scenario(write_config(tmp_path, interzone_cost="derive"))
     assert scen.within_zone_cost == 5.0
@@ -210,6 +279,10 @@ class TestSynthetic:
         scen = generate_synthetic_scenario(5, 8, 2, 10.0)
         assert set(scen.zone_volatility.values()) <= {
             0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40}
+
+    def test_negative_demand_scale_rejected(self):
+        with pytest.raises(ValueError, match="demand_scale must be >= 0"):
+            generate_synthetic_scenario(1, 3, 2, -1.0)
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):

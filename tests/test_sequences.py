@@ -17,6 +17,11 @@ def test_factorial_counts(h, count):
     assert len(set(s.order for s in seqs)) == count
 
 
+def test_no_zones_rejected():
+    with pytest.raises(ValueError, match="zones must be nonempty"):
+        enumerate_sequences([])
+
+
 def test_lexicographic_order_and_cap():
     seqs = enumerate_sequences(["b", "a", "c"])
     assert [s.order for s in seqs[:2]] == [("a", "b", "c"), ("a", "c", "b")]
