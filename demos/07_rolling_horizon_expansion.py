@@ -5,13 +5,17 @@ remaining candidate zones against fresh simulated futures rooted at the
 realized demand, and zones it invests join the service region for good.
 The flexible policy is compared with investing everywhere immediately via
 per-path profitability and a paired t-test.
+
+The rollout asks for CR-RNN, but with at most ``SMALL_H_FALLBACK`` (6)
+candidates an epoch's CR-RNN call runs plain CR, so the four candidates
+here are valued by full enumeration and no LSTM is trained.
 """
 
 import numpy as np
 
 from zoneinvest import (compare_rollouts, generate_synthetic_scenario,
                         rollout_report, run_rollout)
-from zoneinvest.policy import CR_RNN
+from zoneinvest.policy import CR_RNN, SMALL_H_FALLBACK
 from zoneinvest.rollout import INVEST_ALL
 
 scen = generate_synthetic_scenario(seed=5, n_zones=5, subzones_per_zone=2,
@@ -26,6 +30,8 @@ bench = run_rollout(scen, policy_kind=INVEST_ALL, **kw)
 flexible = compare_rollouts(flexible, bench)
 
 print(f"existing service zone: {existing}; candidates: {scen.zones[1:]}")
+print(f"policy {CR_RNN}: with at most {SMALL_H_FALLBACK} candidates each "
+      f"epoch runs plain CR")
 print("\nflexible policy, coverage per realized path:")
 for p in range(5):
     recs = [r for r in flexible.records if r.path == p]

@@ -28,7 +28,7 @@ from .labeling import (LabeledDataset, check_cutoff_settings, label_dataset,
 from .lsmc import valuate_sequence, valuate_sequences  # noqa: F401
 from .neural import (CLASSIFIER, LstmModel, auc, check_train_settings,
                      gap_at_k, score_and_rank, scores, train)
-from .ridership import RidershipCache, cumulative_ridership, zone_payoff
+from .ridership import RidershipCache, cumulative_ridership, payoff_threshold
 from .scenario import Scenario
 from .sequences import (Sequence, check_fraction, enumerate_sequences,
                         sample_sequences)
@@ -127,16 +127,19 @@ def _value_all(seqs, cache, workers) -> list:
 
 
 def deterministic_npv(order, scenario: Scenario, covered=()) -> float:
-    """Total t0 payoff of investing every zone of ``order`` immediately."""
+    """Total t0 payoff of investing every zone of ``order`` immediately.
+
+    The per-zone payoffs telescope: the ridership increments of an
+    ordering's prefixes sum to R(covered | order) - R(covered), so the NPV
+    is that difference less every position's threshold, and it depends
+    only on the zone set.  An empty covered region needs no solve.
+    """
     covered = frozenset(covered)
-    prev = cumulative_ridership((), scenario.base_demand, scenario, covered)
-    npv = 0.0
-    for h, _ in enumerate(order, start=1):
-        cur = cumulative_ridership(order[:h], scenario.base_demand, scenario,
-                                   covered)
-        npv += zone_payoff(h, cur - prev, scenario, len(covered))
-        prev = cur
-    return npv
+    base = cumulative_ridership((), scenario.base_demand, scenario, covered)
+    total = cumulative_ridership(order, scenario.base_demand, scenario,
+                                 covered)
+    return total - base - sum(payoff_threshold(h, scenario, len(covered))
+                              for h in range(1, len(order) + 1))
 
 
 def _finish(mode, tables, cache, t_start, dataset=None, model=None):

@@ -105,29 +105,19 @@ def _iterate_wait(attracted_sum, init_total, scenario: Scenario):
 
 
 def _check_demand(demand: np.ndarray, n: int) -> None:
-    """Reject demand not shaped [..., n, n] over n >= 1 sub-zones, or with a
-    negative or NaN entry: a reduction, not ``demand < 0``, so no temporary
-    the size of the demand."""
-    if n < 1:
-        raise ValueError("selected sub-zones must be nonempty")
+    """Reject demand not shaped [..., n, n] over the scenario's n sub-zones,
+    or with a negative or NaN entry: a reduction, not ``demand < 0``, so no
+    temporary the size of the demand."""
     if demand.shape[-2:] != (n, n):
         raise ValueError(f"demand shape {demand.shape} does not end in ({n}, {n})")
     if demand.size and not demand.min() >= 0:
         raise ValueError("demand entries must be >= 0 and not NaN")
 
 
-def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
-                          subzone_index: np.ndarray | None = None
+def equilibrium_ridership(demand: np.ndarray, scenario: Scenario
                           ) -> RidershipResult:
-    """Fixed-point equilibrium ridership for one demand matrix.
-
-    Parameters
-    ----------
-    demand
-        Non-negative OD matrix over the selected sub-zones.
-    subzone_index
-        Row/column indices of ``demand`` within the scenario's sub-zone
-        order; ``None`` means the full region.
+    """Fixed-point equilibrium ridership for one demand matrix over the
+    scenario's full region.
 
     Raises
     ------
@@ -138,11 +128,9 @@ def equilibrium_ridership(demand: np.ndarray, scenario: Scenario,
     demand = np.asarray(demand, dtype=float)
     if demand.ndim != 2:
         raise ValueError(f"demand must be one matrix, got shape {demand.shape}")
-    n = scenario.n_subzones if subzone_index is None else len(subzone_index)
+    n = scenario.n_subzones
     _check_demand(demand, n)
     factor = _cost_factor(scenario)
-    if subzone_index is not None:  # demand is already the region's matrix
-        factor = factor[np.ix_(subzone_index, subzone_index)]
     mult, total, tw, iters = _solve_region([demand[None]], np.arange(n),
                                            factor, scenario)
     return RidershipResult(od_ridership=demand * factor * mult[0],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,21 @@ def make_scenario(demand, subzone_to_zone, volatility, *, cwz=0.0, ciz=0.0,
         discount_rate=discount,
         horizon_steps=horizon,
     )
+
+
+def region_scenario(scenario, region):
+    """``scenario`` cut down to the zones of ``region``: every matrix is its
+    hand-extracted sub-matrix over the region's sub-zones."""
+    idx = scenario.subzone_indices(region)
+    ix = np.ix_(idx, idx)
+    subzones = [scenario.subzones[i] for i in idx]
+    return replace(
+        scenario, zones=tuple(z for z in scenario.zones if z in region),
+        subzone_to_zone={s: scenario.subzone_to_zone[s] for s in subzones},
+        base_demand=scenario.base_demand[ix],
+        trip_price=scenario.trip_price[ix],
+        in_vehicle_time=scenario.in_vehicle_time[ix],
+        zone_volatility={z: scenario.zone_volatility[z] for z in region})
 
 
 def single_od_scenario(q0, *, sigma=0.3, strike=100.0, gamma=0.0, drift=0.0):

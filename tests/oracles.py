@@ -12,8 +12,9 @@ reference for the fused-gate kernel.  ``gathered_region_totals`` and
 loop, kept as bit-for-bit references for their bounded-memory forms.
 ``region_cost_factor`` computes a region's cost factor on its own
 sub-matrices, where the library gathers it from the full one.
-``realized_totals`` is the rollout's first per-epoch prefix walk, kept as the
-reference for its fold into ``deterministic_npv``.  ``masked_iterate_wait``
+``realized_totals`` is the rollout's first per-epoch prefix walk, summing
+per-zone increments, kept as the reference for ``deterministic_npv``'s
+closed form (payoffs agree to rounding).  ``masked_iterate_wait``
 is the wait-time recursion's first form, which masks every array with the
 active slices each round, kept as the reference for the compacting loop.
 """

@@ -22,7 +22,7 @@ from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence, enumerate_sequences
 from zoneinvest.stochastic import simulate_paths
 
-from conftest import make_scenario, single_od_scenario
+from conftest import make_scenario, region_scenario, single_od_scenario
 from oracles import (binomial_option_value, bisect_ridership_root,
                      compound_schedule_optimum, finite_difference_grads,
                      paired_t_by_hand)
@@ -119,10 +119,10 @@ def test_03_deterministic_dp_equivalence():
         for h, zone in enumerate(order):
             region = prev_region + [zone]
             idx = scen.subzone_indices(region)
-            tot0 = equilibrium_ridership(
-                scen.base_demand[np.ix_(idx, idx)], scen, idx).total
+            sub = region_scenario(scen, region)
+            tot0 = equilibrium_ridership(sub.base_demand, sub).total
             tots = [equilibrium_ridership(
-                paths.values[0, n][np.ix_(idx, idx)], scen, idx).total
+                paths.values[0, n][np.ix_(idx, idx)], sub).total
                 for n in range(paths.n_steps)]
             thr = payoff_threshold(h + 1, scen)
             payoff.append([tot0 - prev_tot[0] - thr]

@@ -24,5 +24,6 @@ def test_every_traced_binding_resolves():
     bindings = [b for _, names, _, _ in tracing.SPANS for b in names]
     assert "zoneinvest.policy:cumulative_ridership" in bindings
     assert "zoneinvest.rollout:cumulative_ridership" in bindings
+    assert "zoneinvest.policy:deterministic_npv" in bindings
     missing = [b for b in bindings if not callable(_resolve(b))]
     assert not missing, f"bindings the tracer cannot patch: {missing}"

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 from zoneinvest.lsmc import (continuation_fit, valuate_sequence,
@@ -20,6 +22,10 @@ from zoneinvest.stochastic import simulate_paths
 from conftest import make_scenario
 from oracles import compound_schedule_optimum
 from test_lsmc import deterministic_scenario
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +361,38 @@ def test_npv_uses_best_sequence_order(small):
     res = cr_policy(scen, paths)
     assert res.npv_deterministic == pytest.approx(
         deterministic_npv(res.best_sequence.order, scen))
+
+
+@PROPERTY
+@given(st.data())
+def test_npv_is_the_same_for_every_ordering_of_a_zone_set(data):
+    n_zones = data.draw(st.integers(2, 5))
+    scen = generate_synthetic_scenario(
+        data.draw(st.integers(0, 2**16)), n_zones,
+        data.draw(st.integers(1, 3)), data.draw(st.floats(1.0, 500.0)))
+    zones = data.draw(st.permutations(scen.zones))
+    k = data.draw(st.integers(1, min(4, n_zones)))
+    chosen, rest = zones[:k], zones[k:]
+    covered = rest[:data.draw(st.integers(1, len(rest)))] if rest else ()
+    for cov in ((), covered):
+        npvs = {deterministic_npv(order, scen, cov)
+                for order in itertools.permutations(chosen)}
+        assert len(npvs) == 1, (chosen, cov, npvs)
+
+
+@pytest.mark.parametrize("n_covered", [0, 1])
+def test_npv_makes_at_most_two_ridership_calls(small, monkeypatch, n_covered):
+    scen, _ = small
+    calls = []
+    real = policy.cumulative_ridership
+
+    def counted(zone_set, *args, **kwargs):
+        calls.append(zone_set)
+        return real(zone_set, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "cumulative_ridership", counted)
+    deterministic_npv(scen.zones[n_covered:], scen, scen.zones[:n_covered])
+    assert len(calls) <= 2
 
 
 def test_report_round_trip(tmp_path, small):

@@ -17,7 +17,7 @@ from zoneinvest.ridership import (ConvergenceError, RidershipCache,
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.stochastic import simulate_paths
 
-from conftest import make_scenario, single_od_scenario
+from conftest import make_scenario, region_scenario, single_od_scenario
 from oracles import (bisect_ridership_root, gathered_region_totals,
                      masked_iterate_wait, region_cost_factor)
 
@@ -106,20 +106,17 @@ def test_wait_iteration_equals_the_masked_recursion(slices, gamma, cap):
         assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("demand, index, message", [
-    (np.zeros((0, 0)), np.array([], dtype=int), "sub-zones must be nonempty"),
-    (np.ones((4, 3)), None, r"shape \(4, 3\) does not end in \(4, 4\)"),
-    (np.ones((2, 4, 4)), None, r"one matrix, got shape \(2, 4, 4\)"),
-    (np.ones((3, 3)), None, r"shape \(3, 3\) does not end in \(4, 4\)"),
-    (np.ones((2, 2)), np.array([0, 1, 2]),
-     r"shape \(2, 2\) does not end in \(3, 3\)"),
-    (-np.ones((4, 4)), None, ">= 0"),
-    (np.full((4, 4), np.nan), None, "NaN"),
-], ids=["empty", "non-square", "3-d", "wrong-size", "wrong-selection",
-        "negative", "nan"])
-def test_equilibrium_rejects_bad_demand(two_zone, demand, index, message):
+@pytest.mark.parametrize("demand, message", [
+    (np.zeros((0, 0)), r"shape \(0, 0\) does not end in \(4, 4\)"),
+    (np.ones((4, 3)), r"shape \(4, 3\) does not end in \(4, 4\)"),
+    (np.ones((2, 4, 4)), r"one matrix, got shape \(2, 4, 4\)"),
+    (np.ones((3, 3)), r"shape \(3, 3\) does not end in \(4, 4\)"),
+    (-np.ones((4, 4)), ">= 0"),
+    (np.full((4, 4), np.nan), "NaN"),
+], ids=["empty", "non-square", "3-d", "wrong-size", "negative", "nan"])
+def test_equilibrium_rejects_bad_demand(two_zone, demand, message):
     with pytest.raises(ValueError, match=message):
-        equilibrium_ridership(demand, two_zone, index)
+        equilibrium_ridership(demand, two_zone)
 
 
 class TestCumulative:
@@ -132,10 +129,10 @@ class TestCumulative:
             cumulative_ridership(("B", "A"), d, two_zone)
 
     def test_matches_hand_extracted_submatrix(self, two_zone):
-        d = two_zone.base_demand
-        sub = d[np.ix_([0, 1], [0, 1])]  # zone A sub-zones
-        direct = equilibrium_ridership(sub, two_zone, np.array([0, 1])).total
-        assert cumulative_ridership(("A",), d, two_zone) == direct
+        zone_a = region_scenario(two_zone, ("A",))
+        direct = equilibrium_ridership(zone_a.base_demand, zone_a).total
+        assert cumulative_ridership(("A",), two_zone.base_demand,
+                                    two_zone) == direct
 
     def test_covered_join_region(self, two_zone):
         d = two_zone.base_demand
