@@ -213,10 +213,8 @@ def valuate_sequences(orders, cache: RidershipCache) -> list[SequenceValuation]:
         for h, zone in enumerate(seq.order):
             key_of[h, s] = keys.setdefault((frozenset(seq.order[:h]), zone),
                                            len(keys))
-    # Solve every missing region, then look them up, before allocating the
-    # work arrays, so the temporaries of the solves do not stack on them.
-    cache.fill(region for prefix, zone in keys
-               for region in (prefix, prefix | {zone}))
+    # Look up every region (a miss is solved) before allocating the work
+    # arrays, so the temporaries of the solves do not stack on them.
     totals = [(cache.cumulative(prefix), cache.cumulative(prefix | {zone}))
               for prefix, zone in keys]
     states = np.empty((n_steps, len(keys), n_paths))      # [T, K, P]

@@ -91,10 +91,9 @@ def _iterate_wait(attracted_sum, init_total, scenario: Scenario):
         rounds += 1
         mult_a = np.exp(-coeff * wait)
         total_a = attracted * mult_a
-        tw_new = _wait_of(total_a, scenario.speed)
-        gap = np.abs(tw_new - wait)
-        wait += tw_new - wait
-        done = gap < WAIT_TOL
+        step = _wait_of(total_a, scenario.speed) - wait
+        wait += step
+        done = np.abs(step) < WAIT_TOL
         if done.any():
             at = moving[done]
             mult[at], total[at], tw[at] = mult_a[done], total_a[done], wait[done]
@@ -261,7 +260,7 @@ class RidershipCache:
         key = frozenset(prefix)
         got = self._memo.get(key)
         if got is None:
-            self.fill([key])
+            self._solve(key)
             return self._memo[key]
         self.hits += 1
         return got

@@ -3,9 +3,10 @@
 An outer simulation realizes demand over decision epochs; at each epoch the
 chosen policy re-optimizes the remaining candidate zones against a fresh
 inner simulation rooted at the realized demand, and invest-decided zones
-join the covered set for the rest of that path.  An epoch's realized payoff
-is the deterministic NPV of the covered ordering at the realized demand, and
-its ridership is the covered region's equilibrium total.  Per-path NPV
+join the covered set for the rest of that path.  An epoch's ridership is
+the covered region's equilibrium total at the realized demand, and its
+realized payoff is that ridership less every covered position's threshold
+(the deterministic NPV of the covered ordering).  Per-path NPV
 discounts the payoffs; the profitability measure divides each epoch's payoff
 by its ridership before discounting.
 Policies are compared path-by-path with a two-sided paired t-test at the
@@ -22,9 +23,8 @@ import numpy as np
 
 from ._report import write_report
 from .lsmc import BASIS_SIZE, INVEST
-from .policy import (CR, CR_RNN, check_rnn_settings, cr_policy,
-                     cr_rnn_policy, deterministic_npv)
-from .ridership import cumulative_ridership
+from .policy import CR, CR_RNN, check_rnn_settings, cr_policy, cr_rnn_policy
+from .ridership import cumulative_ridership, payoff_threshold
 from .scenario import Scenario
 from .sequences import Sequence
 from .stochastic import simulate_paths
@@ -143,7 +143,6 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
         cov_order = list(initial)
         for e in range(1, n_epochs + 1):
             demand = outer.values[p, e - 1]
-            epoch_scen = replace(scenario, base_demand=demand)
             remaining = sorted(set(scenario.zones) - set(cov_order))
             invested: tuple[str, ...] = ()
             if remaining:
@@ -152,6 +151,7 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
                         invested = tuple(remaining)
                 else:
                     epoch_seed = _epoch_seed(seed, p, e)
+                    epoch_scen = replace(scenario, base_demand=demand)
                     sim = simulate_paths(epoch_scen, inner_paths, epoch_seed)
                     try:
                         if policy_kind == CR:
@@ -170,8 +170,9 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
                         z for z in res.best_sequence.order
                         if res.decisions[z] == INVEST)
                 cov_order.extend(invested)
-            payoff = deterministic_npv(cov_order, epoch_scen)
             ridership = cumulative_ridership(cov_order, demand, scenario)
+            payoff = ridership - sum(payoff_threshold(h, scenario)
+                                     for h in range(1, len(cov_order) + 1))
             disc = (1.0 + rho) ** (-e)
             npv[p] += disc * payoff
             pv_profit[p] += disc * (payoff / ridership if ridership > 0 else 0.0)

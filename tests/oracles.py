@@ -13,8 +13,9 @@ loop, kept as bit-for-bit references for their bounded-memory forms.
 ``region_cost_factor`` computes a region's cost factor on its own
 sub-matrices, where the library gathers it from the full one.
 ``realized_totals`` is the rollout's first per-epoch prefix walk, summing
-per-zone increments, kept as the reference for ``deterministic_npv``'s
-closed form (payoffs agree to rounding).  ``masked_iterate_wait``
+per-zone increments, kept as the reference for the rollout's payoff
+(ridership less thresholds) and ``deterministic_npv``'s closed form
+(payoffs agree to rounding).  ``masked_iterate_wait``
 is the wait-time recursion's first form, which masks every array with the
 active slices each round, kept as the reference for the compacting loop.
 """

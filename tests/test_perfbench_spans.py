@@ -17,13 +17,46 @@ def _resolve(binding):
     return owner
 
 
-def test_every_traced_binding_resolves():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_binding_resolves():
+    tracing = _load_tracing()
     bindings = [b for _, names, _, _ in tracing.SPANS for b in names]
     assert "zoneinvest.policy:cumulative_ridership" in bindings
     assert "zoneinvest.rollout:cumulative_ridership" in bindings
     assert "zoneinvest.policy:deterministic_npv" in bindings
     missing = [b for b in bindings if not callable(_resolve(b))]
     assert not missing, f"bindings the tracer cannot patch: {missing}"
+
+
+def test_traced_cache_misses_count_every_region_solved(monkeypatch):
+    """Every region a cold CR call solves is solved inside a traced cache
+    lookup, so the traced miss count is the cache's own."""
+    from zoneinvest import policy
+    from zoneinvest.ridership import RidershipCache
+    from zoneinvest.scenario import generate_synthetic_scenario
+    from zoneinvest.stochastic import simulate_paths
+
+    caches = []
+
+    class RecordedCache(RidershipCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(policy, "RidershipCache", RecordedCache)
+    scen = generate_synthetic_scenario(3, 4, 2, 90.0)
+    paths = simulate_paths(scen, 20, 5)
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        root = len(tracer.spans)
+        policy.cr_policy(scen, paths)
+    layers, _ = tracing.summarize(tracer.spans, root)
+    (cache,) = caches
+    assert cache.misses == 2 ** 4
+    assert layers["ridership.cache.misses"] == cache.misses

@@ -153,6 +153,45 @@ class TestRollout:
         with pytest.raises(TypeError):
             compare_rollouts(a, b, alpha=0.01)
 
+    def test_workers_do_not_change_the_result(self):
+        scen = generate_synthetic_scenario(6, 4, 2, 90.0)
+        kw = dict(n_paths=2, n_epochs=2, seed=4, policy_kind=CR,
+                  inner_paths=40)
+        one = run_rollout(scen, workers=1, **kw)
+        two = run_rollout(scen, workers=2, **kw)
+        assert two.records == one.records
+        assert np.array_equal(two.npv_per_path, one.npv_per_path)
+        assert np.array_equal(two.pv_profit_per_path, one.pv_profit_per_path)
+        assert two.pv_profit == one.pv_profit
+
+    @pytest.mark.parametrize("kind", [INVEST_ALL, CR])
+    def test_one_ridership_solve_per_epoch(self, kind, monkeypatch):
+        """Each epoch's payoff and ridership come from one solve of its
+        covered region; the rollout never prices a deterministic NPV."""
+        import zoneinvest.policy
+        import zoneinvest.rollout
+
+        def no_npv(*args, **kwargs):
+            raise AssertionError("the rollout priced a deterministic NPV")
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return cumulative_ridership(*args, **kwargs)
+
+        monkeypatch.setattr(zoneinvest.rollout, "cumulative_ridership",
+                            counted)
+        if kind == INVEST_ALL:  # no policy runs, so every NPV is the rollout's
+            monkeypatch.setattr(zoneinvest.policy, "cumulative_ridership",
+                                counted)
+            monkeypatch.setattr(zoneinvest.policy, "deterministic_npv",
+                                no_npv)
+        res = run_rollout(generate_synthetic_scenario(6, 4, 2, 90.0),
+                          n_paths=2, n_epochs=3, seed=4, policy_kind=kind,
+                          inner_paths=40, initial_covered=("z01",))
+        assert len(calls) == len(res.records)
+
     def test_validation(self):
         scen = flat_two_zone()
         with pytest.raises(ValueError):
