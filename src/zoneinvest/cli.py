@@ -42,8 +42,7 @@ def _add_workers(p):
     # argparse converts a string default, so the environment is parsed too.
     p.add_argument("--workers", type=int,
                    default=os.environ.get("ZONEINVEST_WORKERS", "1"),
-                   help="parallel sequence valuations "
-                        "(default: ZONEINVEST_WORKERS or 1)")
+                   help="worker processes (default: ZONEINVEST_WORKERS or 1)")
 
 
 def _add_rnn_flags(p):
@@ -149,13 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_values_csv(path) -> list[tuple[tuple[str, ...], float]]:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, rows = rows[0], rows[1:]
-    cols = {name: i for i, name in enumerate(header)}
-    if "sequence" not in cols or "eta" not in cols:
-        raise ValueError(f"{path}: expected 'sequence' and 'eta' columns")
-    return [(tuple(r[cols["sequence"]].split(",")), float(r[cols["eta"]]))
-            for r in rows]
+        reader = csv.reader(fh)
+        cols = {name: i for i, name in enumerate(next(reader, ()))}
+        if "sequence" not in cols or "eta" not in cols:
+            raise ValueError(f"{path}: expected 'sequence' and 'eta' columns")
+        try:
+            return [(tuple(r[cols["sequence"]].split(",")),
+                     float(r[cols["eta"]])) for r in reader]
+        except (IndexError, ValueError):  # line_num is the failing row's
+            raise ValueError(f"{path}, line {reader.line_num}: expected a "
+                             "sequence and a numeric eta") from None
 
 
 def _resolved_config(args) -> dict:

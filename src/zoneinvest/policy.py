@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,16 +73,32 @@ _POLICY_FIELDS = tuple(f.name for f in fields(PolicyResult)
                        if f.name not in ("tables", "model", "dataset"))
 
 
-# -- parallel sequence valuation ----------------------------------------------
+# -- worker pool ---------------------------------------------------------------
 
-_WORKER: dict = {}
-
-
-def _init_worker(cache):
-    _WORKER["cache"] = cache
+_pool_call = None  # in a pool worker: the mapped function bound to ``shared``
 
 
-def _value_batches(seqs, cache) -> list:
+def _init_pool(fn, shared):
+    global _pool_call
+    _pool_call = partial(fn, shared)
+
+
+def _call_in_pool(part):
+    return _pool_call(part)
+
+
+def _fan_out(fn, shared, parts, workers) -> list:
+    """The lists ``fn(shared, part)`` of all ``parts``, concatenated in order;
+    in one process pool when two or more workers and parts allow, and then
+    each worker process receives ``shared`` once."""
+    if workers < 2 or len(parts) < 2:
+        return [x for part in parts for x in fn(shared, part)]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
+                             initargs=(fn, shared)) as pool:
+        return [x for out in pool.map(_call_in_pool, parts) for x in out]
+
+
+def _value_batches(cache, seqs) -> list:
     # Only the t0 decisions ride along: stopping times would hold [H, P] per
     # ordering, and the decisions are all the winner needs.  No name holds a
     # batch, so its valuations are freed before the next batch is valued.
@@ -92,37 +109,27 @@ def _value_batches(seqs, cache) -> list:
     return valued
 
 
-def _value_chunk(seqs):
-    return _value_batches(seqs, _WORKER["cache"])
-
-
 def _value_all(seqs, cache, workers) -> list:
     """``(sequence, policy value, t0 decisions)`` for ``seqs``, in order;
     identical for any worker count.
 
-    ``cache`` is the valuation context, and each worker receives it whole.
-    With more than one worker the parent first solves every prefix region,
-    so the workers inherit a complete memo and none re-solves a region.
+    With more than one worker the parent first looks up every prefix
+    region, so each worker receives the cache with a complete memo.
     Orderings are valued in zone order, so a batch's neighbours share
-    (prefix set, zone) designs, and mapped back; a value does not depend on
-    its batch.
+    (prefix set, zone) designs; a value does not depend on its batch.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ordered = sorted(seqs, key=lambda s: s.order)
-    if workers == 1:
-        valued = _value_batches(ordered, cache)
-    else:
-        cache.fill(s.order[:h] for s in ordered
-                   for h in range(len(s.order) + 1))
-        chunk = max(1, len(ordered) // (workers * 8))
-        chunks = [ordered[i:i + chunk] for i in range(0, len(ordered), chunk)]
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(cache,)) as pool:
-            valued = [row for part in pool.map(_value_chunk, chunks)
-                      for row in part]
-    row_of = {row[0]: row for row in valued}
+    chunks = [ordered]
+    if workers > 1:
+        for prefix in dict.fromkeys(s.order[:h] for s in ordered
+                                    for h in range(len(s.order) + 1)):
+            cache.cumulative(prefix)
+        size = max(1, len(ordered) // (workers * 8))
+        chunks = [ordered[i:i + size] for i in range(0, len(ordered), size)]
+    row_of = {row[0]: row
+              for row in _fan_out(_value_batches, cache, chunks, workers)}
     return [row_of[s] for s in seqs]
 
 

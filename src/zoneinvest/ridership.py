@@ -232,13 +232,12 @@ class RidershipCache:
     Valuing one sequence walks its prefixes; across sequences the prefixes
     repeat as *sets*, so totals for all horizon steps and paths are computed
     once per subset and reused.  ``covered`` zones are part of every region.
-    Not thread-safe; use one cache per worker and share read-only inputs.
     The cache is the whole valuation context: paths must span the scenario's
     horizon, and are checked once here (the scenario checks its base
     demand), so a miss solves without re-checking its selection.
-
-    ``misses`` counts the regions solved and ``hits`` the lookups served
-    from the memo.
+    :meth:`cumulative` is the only place a region is solved: ``misses``
+    counts the regions solved and ``hits`` the lookups served from the memo.
+    Not thread-safe; each pool worker receives its own copy, memo included.
     """
 
     def __init__(self, scenario: Scenario, demand_paths, covered=()):
@@ -264,13 +263,6 @@ class RidershipCache:
             return self._memo[key]
         self.hits += 1
         return got
-
-    def fill(self, prefixes) -> None:
-        """Solve the region covered | prefix of every prefix not yet in the
-        memo, each region on its own."""
-        for key in dict.fromkeys(map(frozenset, prefixes)):
-            if key not in self._memo:
-                self._solve(key)
 
     def _solve(self, key) -> None:
         n_steps, n_paths = self.paths.n_steps, self.paths.n_paths

@@ -23,7 +23,8 @@ import numpy as np
 
 from ._report import write_report
 from .lsmc import BASIS_SIZE, INVEST
-from .policy import CR, CR_RNN, check_rnn_settings, cr_policy, cr_rnn_policy
+from .policy import (CR, CR_RNN, _fan_out, check_rnn_settings, cr_policy,
+                     cr_rnn_policy)
 from .ridership import cumulative_ridership, payoff_threshold
 from .scenario import Scenario
 from .sequences import Sequence
@@ -110,9 +111,9 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
     thr_fact, training settings), checked before anything is simulated
     whenever the policy is CR-RNN or ``inner`` is non-empty; so is
     ``inner_paths >= BASIS_SIZE``, for every policy kind.  Each epoch
-    re-seeds its inner simulation and policy from (seed, path, epoch) so
-    runs are reproducible and epochs independent of path ordering; an
-    ``inner`` that sets ``seed`` is rejected.
+    re-seeds its inner simulation and policy from (seed, path, epoch), so
+    runs reproduce and ``workers`` processes run the independent paths
+    with the serial results; an ``inner`` that sets ``seed`` is rejected.
     """
     if policy_kind not in (CR, CR_RNN, INVEST_ALL):
         raise ValueError(f"unknown policy kind {policy_kind!r}")
@@ -131,60 +132,58 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
     scenario.subzone_indices(initial)          # so does an unknown one
     if policy_kind == CR_RNN or inner:
         check_rnn_settings(**inner)
-    rho = scenario.discount_rate
     outer_scen = replace(scenario,
                          horizon_steps=tuple(float(e) for e in range(1, n_epochs + 1)))
     outer = simulate_paths(outer_scen, n_paths, seed)
+    run = (scenario, outer.values, seed, policy_kind, initial, inner_paths,
+           inner)
+    records = tuple(_fan_out(_rollout_path, run, range(n_paths), workers))
+    npv, pv_profit = np.zeros(n_paths), np.zeros(n_paths)
+    for r in records:
+        disc = (1.0 + scenario.discount_rate) ** (-r.epoch)
+        npv[r.path] += disc * r.payoff
+        pv_profit[r.path] += disc * (r.payoff / r.ridership
+                                     if r.ridership > 0 else 0.0)
+    return RolloutResult(policy_kind, records, npv, pv_profit,
+                         float(pv_profit.mean()))
 
+
+def _rollout_path(run, p) -> list[EpochRecord]:
+    """The epoch records of outer path ``p`` of the demand in ``run``; paths
+    run in parallel, so each policy call runs at ``workers=1``."""
+    scenario, outer, seed, policy_kind, initial, inner_paths, inner = run
     records = []
-    npv = np.zeros(n_paths)
-    pv_profit = np.zeros(n_paths)
-    for p in range(n_paths):
-        cov_order = list(initial)
-        for e in range(1, n_epochs + 1):
-            demand = outer.values[p, e - 1]
-            remaining = sorted(set(scenario.zones) - set(cov_order))
-            invested: tuple[str, ...] = ()
-            if remaining:
-                if policy_kind == INVEST_ALL:
-                    if e == 1:
-                        invested = tuple(remaining)
-                else:
-                    epoch_seed = _epoch_seed(seed, p, e)
-                    epoch_scen = replace(scenario, base_demand=demand)
-                    sim = simulate_paths(epoch_scen, inner_paths, epoch_seed)
-                    try:
-                        if policy_kind == CR:
-                            res = cr_policy(epoch_scen, sim, covered=cov_order,
-                                            workers=workers)
-                        else:
-                            res = cr_rnn_policy(epoch_scen, sim,
-                                                covered=cov_order,
-                                                seed=epoch_seed,
-                                                workers=workers, **inner)
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"{policy_kind} policy failed at path {p}, "
-                            f"epoch {e}: {exc}") from exc
-                    invested = tuple(
-                        z for z in res.best_sequence.order
-                        if res.decisions[z] == INVEST)
-                cov_order.extend(invested)
-            ridership = cumulative_ridership(cov_order, demand, scenario)
-            payoff = ridership - sum(payoff_threshold(h, scenario)
-                                     for h in range(1, len(cov_order) + 1))
-            disc = (1.0 + rho) ** (-e)
-            npv[p] += disc * payoff
-            pv_profit[p] += disc * (payoff / ridership if ridership > 0 else 0.0)
-            records.append(EpochRecord(p, e, invested, tuple(cov_order),
-                                       payoff, ridership))
-    return RolloutResult(
-        policy_kind=policy_kind,
-        records=tuple(records),
-        npv_per_path=npv,
-        pv_profit_per_path=pv_profit,
-        pv_profit=float(pv_profit.mean()),
-    )
+    cov_order = list(initial)
+    for e, demand in enumerate(outer[p], start=1):
+        remaining = sorted(set(scenario.zones) - set(cov_order))
+        invested: tuple[str, ...] = ()
+        if remaining:
+            if policy_kind == INVEST_ALL:
+                if e == 1:
+                    invested = tuple(remaining)
+            else:
+                epoch_seed = _epoch_seed(seed, p, e)
+                epoch_scen = replace(scenario, base_demand=demand)
+                sim = simulate_paths(epoch_scen, inner_paths, epoch_seed)
+                try:
+                    if policy_kind == CR:
+                        res = cr_policy(epoch_scen, sim, covered=cov_order)
+                    else:
+                        res = cr_rnn_policy(epoch_scen, sim, covered=cov_order,
+                                            seed=epoch_seed, **inner)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"{policy_kind} policy failed at path {p}, "
+                        f"epoch {e}: {exc}") from exc
+                invested = tuple(z for z in res.best_sequence.order
+                                 if res.decisions[z] == INVEST)
+            cov_order.extend(invested)
+        ridership = cumulative_ridership(cov_order, demand, scenario)
+        payoff = ridership - sum(payoff_threshold(h, scenario)
+                                 for h in range(1, len(cov_order) + 1))
+        records.append(EpochRecord(p, e, invested, tuple(cov_order),
+                                   payoff, ridership))
+    return records
 
 
 def compare_rollouts(result: RolloutResult,

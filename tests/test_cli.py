@@ -210,6 +210,21 @@ def test_rollout_with_benchmark(tmp_path, scen3):
     assert len(doc["records"]) == 4
 
 
+def test_rollout_report_is_worker_invariant(tmp_path, scen3):
+    """Outer paths fan out over the pool; the report is the serial one."""
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers / "roll.json"
+        assert main(["rollout", "--scenario", str(scen3), "--outer-paths", "3",
+                     "--epochs", "2", "--seed", "3", "--policy", "cr",
+                     "--inner-paths", "40", "--benchmark",
+                     "--workers", workers, "--out", str(out)]) == 0
+        reports.append((out.read_text(), out.with_suffix(".csv").read_bytes()))
+    (json1, csv1), (json2, csv2) = reports
+    assert strip_volatile(json1) == strip_volatile(json2)
+    assert csv1 == csv2
+
+
 def test_workers_env_override(tmp_path, scen3, monkeypatch):
     monkeypatch.setenv("ZONEINVEST_WORKERS", "2")
     out = tmp_path / "cr_env.json"
@@ -346,6 +361,28 @@ def test_label_population_below_sample_exits_1_without_files(
         "type": "ValueError",
         "message": "population_size 5 is smaller than the 6 sampled values"}
     assert list(tmp_path.glob("l.*")) == []
+
+
+@pytest.mark.parametrize("command", ["label", "evaluate"])
+@pytest.mark.parametrize("text, where", [
+    ("", ""),                                                  # empty file
+    ('sequence,eta\n"z01,z02,z03",1.5\n"z01,z03,z02"\n', ", line 3"),
+    ('sequence,eta\n"z01,z02,z03",high\n', ", line 2"),
+])
+def test_bad_values_csv_exits_1_naming_the_file(chain_inputs, tmp_path,
+                                                capsys, command, text, where):
+    values = tmp_path / "values.csv"
+    values.write_text(text)
+    out = tmp_path / "out" / "o.csv"
+    argv = {"label": ["label", "--population", "6"],
+            "evaluate": ["evaluate", "--model", str(chain_inputs / "model.json"),
+                         "--labeled", str(chain_inputs / "labeled.csv"),
+                         "--k", "2"]}[command]
+    assert main(argv + ["--values", str(values), "--out", str(out)]) == 1
+    block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert block["error"]["type"] == "ValueError"
+    assert block["error"]["message"].startswith(f"{values}{where}: ")
+    assert not out.parent.exists()
 
 
 @pytest.fixture(scope="module")

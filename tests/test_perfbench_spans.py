@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -34,28 +36,31 @@ def test_every_traced_binding_resolves():
     assert not missing, f"bindings the tracer cannot patch: {missing}"
 
 
-def test_traced_cache_misses_count_every_region_solved(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_traced_cache_misses_count_every_region_solved(monkeypatch, workers):
     """Every region a cold CR call solves is solved inside a traced cache
-    lookup, so the traced miss count is the cache's own."""
+    lookup, so the traced miss count is the cache's own.  With two workers
+    the parent looks every region up before the pool starts."""
     from zoneinvest import policy
     from zoneinvest.ridership import RidershipCache
     from zoneinvest.scenario import generate_synthetic_scenario
     from zoneinvest.stochastic import simulate_paths
 
     caches = []
+    init = RidershipCache.__init__
 
-    class RecordedCache(RidershipCache):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            caches.append(self)
+    def recorded_init(self, *args, **kwargs):
+        # the class itself stays picklable, so pool workers can receive it
+        init(self, *args, **kwargs)
+        caches.append(self)
 
-    monkeypatch.setattr(policy, "RidershipCache", RecordedCache)
+    monkeypatch.setattr(RidershipCache, "__init__", recorded_init)
     scen = generate_synthetic_scenario(3, 4, 2, 90.0)
     paths = simulate_paths(scen, 20, 5)
     tracing = _load_tracing()
     with tracing.Tracer() as tracer:
         root = len(tracer.spans)
-        policy.cr_policy(scen, paths)
+        policy.cr_policy(scen, paths, workers=workers)
     layers, _ = tracing.summarize(tracer.spans, root)
     (cache,) = caches
     assert cache.misses == 2 ** 4

@@ -363,9 +363,9 @@ def test_cost_factor_gathered_from_the_full_matrix(synth7):
 
 
 class TestGroupedFill:
-    """``RidershipCache.fill`` solves a batch's missing regions; however the
-    batches are cut, each region's totals are those of solving it alone,
-    bit for bit."""
+    """Lookups fill the memo one region at a time; however they are grouped
+    and ordered, each region's totals are those of solving it alone, bit
+    for bit."""
 
     @pytest.fixture(scope="class")
     def paths(self, synth7):
@@ -377,17 +377,16 @@ class TestGroupedFill:
         covered = data.draw(st.lists(st.sampled_from(synth7.zones),
                                      max_size=3, unique=True))
         rest = [z for z in synth7.zones if z not in covered]
+        # repeats, any zone order within a region and any order of regions
         regions = data.draw(st.lists(
-            st.frozensets(st.sampled_from(rest)), min_size=1, max_size=12))
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(regions)),
-                                         max_size=3)))
+            st.lists(st.sampled_from(rest), unique=True), min_size=1,
+            max_size=12))
         cache = RidershipCache(synth7, paths, covered)
-        if data.draw(st.booleans()):   # one region on its own first
-            cache.cumulative(regions[0])
-        for lo, hi in zip([0, *cuts], [*cuts, len(regions)]):
-            cache.fill(regions[lo:hi])
-        distinct = set(regions)
-        assert cache.misses == len(distinct)
+        for region in regions:
+            cache.cumulative(region)
+        distinct = set(map(frozenset, regions))
+        assert (cache.misses, cache.hits) == (len(distinct),
+                                              len(regions) - len(distinct))
         for region in data.draw(st.permutations(sorted(distinct, key=sorted))):
             totals, t0 = cache.cumulative(region)
             assert totals.shape == (paths.n_steps, paths.n_paths)
@@ -399,28 +398,31 @@ class TestGroupedFill:
 
     def test_counts_regions_solved_and_lookups_served(self, synth7, paths):
         cache = RidershipCache(synth7, paths)
-        cache.fill([("z01",), ("z02",), ("z01",), (), ("z02",)])
-        assert (cache.misses, cache.hits) == (3, 0)
-        cache.fill([("z02",)])
-        cache.cumulative(("z01",))
-        cache.cumulative(("z03",))
-        assert (cache.misses, cache.hits) == (4, 1)
+        for region in [("z01",), ("z02",), ("z01",), (), ("z02",)]:
+            cache.cumulative(region)
+        assert (cache.misses, cache.hits) == (3, 2)
+        cache.cumulative(("z01", "z02"))
+        cache.cumulative(("z02", "z01"))
+        assert (cache.misses, cache.hits) == (4, 3)
 
     def test_rejects_a_region_overlapping_covered(self, synth7, paths):
         cache = RidershipCache(synth7, paths, covered=("z01",))
+        cache.cumulative(("z02",))
         with pytest.raises(ValueError, match="overlaps"):
-            cache.fill([("z02",), ("z01", "z03")])
+            cache.cumulative(("z01", "z03"))
+        assert (cache.misses, cache.hits) == (1, 0)
 
 
 def test_grouped_fill_memory_is_bounded(synth7):
-    """Filling all 2^7 regions at H = 7, P = 300 holds the memo and one
+    """Looking up all 2^7 regions at H = 7, P = 300 holds the memo and one
     region's wait-time solve at a time."""
     cache = RidershipCache(synth7, simulate_paths(synth7, 300, seed=11))
     regions = [c for r in range(len(synth7.zones) + 1)
                for c in itertools.combinations(synth7.zones, r)]
     tracemalloc.start()
     try:
-        cache.fill(regions)
+        for region in regions:
+            cache.cumulative(region)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
