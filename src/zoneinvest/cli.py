@@ -153,11 +153,11 @@ def _read_values_csv(path) -> list[tuple[tuple[str, ...], float]]:
         if "sequence" not in cols or "eta" not in cols:
             raise ValueError(f"{path}: expected 'sequence' and 'eta' columns")
         try:
-            return [(tuple(r[cols["sequence"]].split(",")),
+            return [(sequences.Sequence.parse(r[cols["sequence"]]).order,
                      float(r[cols["eta"]])) for r in reader]
-        except (IndexError, ValueError):  # line_num is the failing row's
+        except (IndexError, ValueError) as exc:  # line_num: the failing row's
             raise ValueError(f"{path}, line {reader.line_num}: expected a "
-                             "sequence and a numeric eta") from None
+                             f"sequence and a numeric eta ({exc})") from None
 
 
 def _resolved_config(args) -> dict:

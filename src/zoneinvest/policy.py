@@ -75,61 +75,59 @@ _POLICY_FIELDS = tuple(f.name for f in fields(PolicyResult)
 
 # -- worker pool ---------------------------------------------------------------
 
-_pool_call = None  # in a pool worker: the mapped function bound to ``shared``
+_pool_call = None  # in a pool worker: the bound function ``_fan_out`` maps
 
 
-def _init_pool(fn, shared):
+def _init_pool(fn):
     global _pool_call
-    _pool_call = partial(fn, shared)
+    _pool_call = fn
 
 
 def _call_in_pool(part):
     return _pool_call(part)
 
 
-def _fan_out(fn, shared, parts, workers) -> list:
-    """The lists ``fn(shared, part)`` of all ``parts``, concatenated in order;
-    in one process pool when two or more workers and parts allow, and then
-    each worker process receives ``shared`` once."""
+def _fan_out(fn, parts, workers) -> list:
+    """The lists ``fn(part)`` of all ``parts``, concatenated in order; in one
+    process pool, one task per part, when two or more workers and parts
+    allow, and then each worker process receives ``fn`` (a picklable bound
+    callable, such as a ``functools.partial``) once."""
     if workers < 2 or len(parts) < 2:
-        return [x for part in parts for x in fn(shared, part)]
+        return [x for part in parts for x in fn(part)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
-                             initargs=(fn, shared)) as pool:
+                             initargs=(fn,)) as pool:
         return [x for out in pool.map(_call_in_pool, parts) for x in out]
 
 
-def _value_batches(cache, seqs) -> list:
+def _value_batch(cache, batch) -> list:
     # Only the t0 decisions ride along: stopping times would hold [H, P] per
-    # ordering, and the decisions are all the winner needs.  No name holds a
-    # batch, so its valuations are freed before the next batch is valued.
-    valued = []
-    for i in range(0, len(seqs), BATCH_SIZE):
-        valued.extend((v.sequence, v.policy_value, v.decisions_t0) for v in
-                      valuate_sequences(seqs[i:i + BATCH_SIZE], cache))
-    return valued
+    # ordering, and the decisions are all the winner needs.  No name holds
+    # the valuations, so they are freed before the next batch is valued.
+    return [(v.sequence, v.policy_value, v.decisions_t0)
+            for v in valuate_sequences(batch, cache)]
 
 
 def _value_all(seqs, cache, workers) -> list:
     """``(sequence, policy value, t0 decisions)`` for ``seqs``, in order;
     identical for any worker count.
 
-    With more than one worker the parent first looks up every prefix
+    Orderings are valued in zone order, in batches of ``BATCH_SIZE``, so a
+    batch's neighbours share (prefix set, zone) designs; a value does not
+    depend on its batch.  The batches are the parts ``_fan_out`` maps, and
+    with more than one worker the parent first looks up every prefix
     region, so each worker receives the cache with a complete memo.
-    Orderings are valued in zone order, so a batch's neighbours share
-    (prefix set, zone) designs; a value does not depend on its batch.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ordered = sorted(seqs, key=lambda s: s.order)
-    chunks = [ordered]
     if workers > 1:
         for prefix in dict.fromkeys(s.order[:h] for s in ordered
                                     for h in range(len(s.order) + 1)):
             cache.cumulative(prefix)
-        size = max(1, len(ordered) // (workers * 8))
-        chunks = [ordered[i:i + size] for i in range(0, len(ordered), size)]
-    row_of = {row[0]: row
-              for row in _fan_out(_value_batches, cache, chunks, workers)}
+    batches = [ordered[i:i + BATCH_SIZE]
+               for i in range(0, len(ordered), BATCH_SIZE)]
+    row_of = {row[0]: row for row in
+              _fan_out(partial(_value_batch, cache), batches, workers)}
     return [row_of[s] for s in seqs]
 
 

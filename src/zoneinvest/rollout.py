@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -135,9 +136,10 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
     outer_scen = replace(scenario,
                          horizon_steps=tuple(float(e) for e in range(1, n_epochs + 1)))
     outer = simulate_paths(outer_scen, n_paths, seed)
-    run = (scenario, outer.values, seed, policy_kind, initial, inner_paths,
-           inner)
-    records = tuple(_fan_out(_rollout_path, run, range(n_paths), workers))
+    path = partial(_rollout_path, scenario=scenario, outer=outer.values,
+                   seed=seed, policy_kind=policy_kind, initial=initial,
+                   inner_paths=inner_paths, inner=inner)
+    records = tuple(_fan_out(path, range(n_paths), workers))
     npv, pv_profit = np.zeros(n_paths), np.zeros(n_paths)
     for r in records:
         disc = (1.0 + scenario.discount_rate) ** (-r.epoch)
@@ -148,10 +150,10 @@ def run_rollout(scenario: Scenario, *, n_paths: int, n_epochs: int, seed: int,
                          float(pv_profit.mean()))
 
 
-def _rollout_path(run, p) -> list[EpochRecord]:
-    """The epoch records of outer path ``p`` of the demand in ``run``; paths
+def _rollout_path(p, *, scenario, outer, seed, policy_kind, initial,
+                  inner_paths, inner) -> list[EpochRecord]:
+    """The epoch records of outer path ``p`` of the ``outer`` demand; paths
     run in parallel, so each policy call runs at ``workers=1``."""
-    scenario, outer, seed, policy_kind, initial, inner_paths, inner = run
     records = []
     cov_order = list(initial)
     for e, demand in enumerate(outer[p], start=1):

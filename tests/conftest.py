@@ -1,8 +1,10 @@
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import zoneinvest.policy
 from zoneinvest.scenario import DEFAULTS, Scenario, generate_synthetic_scenario
 
 
@@ -70,3 +72,17 @@ def two_zone():
     mapping = {"a1": "A", "a2": "A", "b1": "B", "b2": "B"}
     return make_scenario(demand, mapping, {"A": 0.2, "B": 0.3},
                          cwz=10.0, ciz=4.0)
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """``max_workers`` of every process pool the library builds, in order."""
+    built = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(zoneinvest.policy, "ProcessPoolExecutor", CountedPool)
+    return built

@@ -1,10 +1,12 @@
+import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from zoneinvest import policy, rollout
-from zoneinvest.cli import main
+from zoneinvest import neural, policy, rollout
+from zoneinvest.cli import _train_kwargs, build_parser, main
 from zoneinvest.scenario import (generate_synthetic_scenario, load_scenario,
                                  save_scenario)
 from zoneinvest.stochastic import load_paths
@@ -368,6 +370,7 @@ def test_label_population_below_sample_exits_1_without_files(
     ("", ""),                                                  # empty file
     ('sequence,eta\n"z01,z02,z03",1.5\n"z01,z03,z02"\n', ", line 3"),
     ('sequence,eta\n"z01,z02,z03",high\n', ", line 2"),
+    ('sequence,eta\n"z01, z01,z03",1.5\n', ", line 2"),       # repeated zone
 ])
 def test_bad_values_csv_exits_1_naming_the_file(chain_inputs, tmp_path,
                                                 capsys, command, text, where):
@@ -383,6 +386,69 @@ def test_bad_values_csv_exits_1_naming_the_file(chain_inputs, tmp_path,
     assert block["error"]["type"] == "ValueError"
     assert block["error"]["message"].startswith(f"{values}{where}: ")
     assert not out.parent.exists()
+
+
+def test_spaced_values_csv_runs_label_train_evaluate(chain_inputs, tmp_path):
+    """A values CSV's sequence column parses as ``Sequence.parse`` does, so
+    ``"z01, z02, z03"`` names the zones of ``"z01,z02,z03"``."""
+    spaced = {}
+    for name in ("sampled.csv", "cr.csv"):
+        with open(chain_inputs / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("sequence")
+        for row in rows[1:]:
+            row[col] = row[col].replace(",", ", ")
+        spaced[name] = tmp_path / name
+        with open(spaced[name], "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    labeled = tmp_path / "labeled.csv"
+    assert main(["label", "--values", str(spaced["sampled.csv"]),
+                 "--population", "6", "--thr-fact", "0.5", "--pnr-max", "0.5",
+                 "--out", str(labeled)]) == 0
+    assert labeled.read_text() == (chain_inputs / "labeled.csv").read_text()
+    model = tmp_path / "model.json"
+    assert main(["train", "--labeled", str(labeled), "--out", str(model),
+                 "--emb-size", "4", "--epochs", "2",
+                 "--validation-fraction", "0"]) == 0
+    metrics = []
+    for values in (spaced["cr.csv"], chain_inputs / "cr.csv"):
+        out = tmp_path / f"metrics{len(metrics)}.csv"
+        assert main(["evaluate", "--model", str(model), "--values",
+                     str(values), "--labeled", str(labeled), "--k", "2",
+                     "--out", str(out)]) == 0
+        metrics.append(out.read_text())
+    assert metrics[0] == metrics[1]
+
+
+_REQUIRED = {"cr-rnn": ["--scenario", "s.json", "--out", "r.json"],
+             "rollout": ["--scenario", "s.json", "--out", "r.json"],
+             "train": ["--labeled", "l.csv", "--out", "m.json"],
+             "label": ["--values", "v.csv", "--population", "6",
+                       "--out", "l.csv"]}
+
+
+@pytest.mark.parametrize("command", ["cr-rnn", "rollout", "train"])
+def test_training_flag_defaults_are_train_defaults(command):
+    args = build_parser().parse_args([command] + _REQUIRED[command])
+    params = inspect.signature(neural.train).parameters
+    kwargs = _train_kwargs(args)
+    assert sorted(kwargs) == sorted(["emb_size", "lr", "batch_size",
+                                     "max_epochs", "patience",
+                                     "validation_fraction"])
+    assert kwargs == {name: params[name].default for name in kwargs}
+
+
+@pytest.mark.parametrize("command", ["cr-rnn", "rollout", "label"])
+def test_thr_fact_default_is_the_policy_default(command):
+    args = build_parser().parse_args([command] + _REQUIRED[command])
+    params = inspect.signature(policy.cr_rnn_policy).parameters
+    assert args.thr_fact == params["thr_fact"].default
+
+
+def test_inner_paths_default_is_the_rollout_default():
+    args = build_parser().parse_args(["rollout"] + _REQUIRED["rollout"])
+    params = inspect.signature(rollout.run_rollout).parameters
+    assert args.inner_paths == params["inner_paths"].default
 
 
 @pytest.fixture(scope="module")

@@ -116,6 +116,40 @@ def test_pool_parent_solves_every_prefix_region(small):
     assert rows == policy._value_all(seqs, RidershipCache(scen, paths), 1)
 
 
+def test_orderings_in_one_batch_start_no_pool(small, pool_sizes):
+    scen, paths = small
+    res = cr_policy(scen, paths, workers=2)
+    assert res.evaluated_count == 6 <= policy.BATCH_SIZE
+    assert pool_sizes == []
+
+
+def test_pool_parts_are_the_batches_valued_serially(small, monkeypatch):
+    """At any worker count the orderings are cut once, into the zone-sorted
+    ``BATCH_SIZE`` batches, and those batches are ``_fan_out``'s parts."""
+    scen, paths = small
+    monkeypatch.setattr(policy, "BATCH_SIZE", 2)
+    valued, parts = [], []
+    fan_out = policy._fan_out
+
+    def recording_valuation(batch, *args):
+        valued.append([s.order for s in batch])
+        return valuate_sequences(batch, *args)
+
+    def recording_fan_out(*args):
+        parts.append([[s.order for s in part] for part in args[-2]])
+        return fan_out(*args)
+
+    monkeypatch.setattr(policy, "valuate_sequences", recording_valuation)
+    monkeypatch.setattr(policy, "_fan_out", recording_fan_out)
+    seqs = enumerate_sequences(scen.zones)
+    shuffled = [seqs[i] for i in (4, 1, 5, 0, 3, 2)]
+    serial = policy._value_all(shuffled, RidershipCache(scen, paths), 1)
+    pooled = policy._value_all(shuffled, RidershipCache(scen, paths), 2)
+    assert len(valued) == 3
+    assert parts == [valued, valued]
+    assert pooled == serial
+
+
 @pytest.mark.parametrize("workers", [0, -5])
 def test_workers_below_one_rejected(small, workers):
     scen, paths = small

@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -154,38 +153,31 @@ class TestRollout:
         with pytest.raises(TypeError):
             compare_rollouts(a, b, alpha=0.01)
 
-    def test_workers_do_not_change_the_result(self):
+    def test_workers_do_not_change_the_result(self, pool_sizes):
+        """Same results at any worker count; a one-path rollout runs in the
+        calling process."""
         scen = generate_synthetic_scenario(6, 4, 2, 90.0)
         for kind, n_paths in [(CR, 2), (INVEST_ALL, 2), (CR, 1)]:
             kw = dict(n_paths=n_paths, n_epochs=2, seed=4, policy_kind=kind,
                       inner_paths=40)
             one = run_rollout(scen, workers=1, **kw)
+            pool_sizes.clear()
             two = run_rollout(scen, workers=2, **kw)
+            assert pool_sizes == ([2] if n_paths > 1 else [])
             assert two.records == one.records
             assert np.array_equal(two.npv_per_path, one.npv_per_path)
             assert np.array_equal(two.pv_profit_per_path,
                                   one.pv_profit_per_path)
             assert two.pv_profit == one.pv_profit
 
-    def test_one_process_pool_per_rollout(self, monkeypatch):
+    def test_one_process_pool_per_rollout(self, pool_sizes):
         """Outer paths share one pool; the policy calls inside run serially
         instead of starting a pool per epoch."""
-        import zoneinvest.policy
-
-        built = []
-
-        class CountedPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(zoneinvest.policy, "ProcessPoolExecutor",
-                            CountedPool)
         res = run_rollout(generate_synthetic_scenario(6, 4, 2, 90.0),
                           n_paths=2, n_epochs=2, seed=4, policy_kind=CR,
                           inner_paths=40, workers=2)
         assert len(res.records) == 4
-        assert built == [2]
+        assert pool_sizes == [2]
 
     @pytest.mark.parametrize("kind", [INVEST_ALL, CR])
     def test_one_ridership_solve_per_epoch(self, kind, monkeypatch):
