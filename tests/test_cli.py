@@ -127,7 +127,9 @@ def test_cr_report_contains_all_sequences(tmp_path, scen3):
     assert len(csv_rows) == 1 + 6
 
 
-def test_cr_byte_identical_reruns_and_worker_invariance(tmp_path, scen3):
+def test_cr_byte_identical_reruns_and_worker_invariance(
+        tmp_path, scen3, monkeypatch, pool_sizes):
+    monkeypatch.setattr(policy, "BATCH_SIZE", 2)  # 6 orderings: 3 pool parts
     outs = []
     for name, workers in (("a", "1"), ("b", "1"), ("c", "2")):
         out = tmp_path / f"{name}.json"
@@ -135,6 +137,7 @@ def test_cr_byte_identical_reruns_and_worker_invariance(tmp_path, scen3):
                      "--seed", "7", "--workers", workers,
                      "--out", str(out)]) == 0
         outs.append(out.read_text())
+    assert pool_sizes == [2]
     norm = [strip_volatile(t) for t in outs]
     assert norm[0] == norm[1] == norm[2]
 
@@ -438,17 +441,16 @@ def test_training_flag_defaults_are_train_defaults(command):
     assert kwargs == {name: params[name].default for name in kwargs}
 
 
-@pytest.mark.parametrize("command", ["cr-rnn", "rollout", "label"])
-def test_thr_fact_default_is_the_policy_default(command):
+@pytest.mark.parametrize("command, flag, fn", [
+    ("cr-rnn", "thr_fact", policy.cr_rnn_policy),
+    ("rollout", "thr_fact", policy.cr_rnn_policy),
+    ("label", "thr_fact", policy.cr_rnn_policy),
+    ("rollout", "inner_paths", rollout.run_rollout),
+])
+def test_flag_default_is_the_library_default(command, flag, fn):
     args = build_parser().parse_args([command] + _REQUIRED[command])
-    params = inspect.signature(policy.cr_rnn_policy).parameters
-    assert args.thr_fact == params["thr_fact"].default
-
-
-def test_inner_paths_default_is_the_rollout_default():
-    args = build_parser().parse_args(["rollout"] + _REQUIRED["rollout"])
-    params = inspect.signature(rollout.run_rollout).parameters
-    assert args.inner_paths == params["inner_paths"].default
+    params = inspect.signature(fn).parameters
+    assert getattr(args, flag) == params[flag].default
 
 
 @pytest.fixture(scope="module")

@@ -98,19 +98,24 @@ def test_best_value_dominates_table(small):
         res.best_value - res.npv_deterministic)
 
 
-def test_workers_do_not_change_results(small):
+def test_workers_do_not_change_results(small, monkeypatch, pool_sizes):
     scen, paths = small
+    monkeypatch.setattr(policy, "BATCH_SIZE", 2)  # 6 orderings: 3 pool parts
     seq_values = cr_policy(scen, paths, workers=2).tables["all"]
+    assert pool_sizes == [2]
     base = cr_policy(scen, paths, workers=1).tables["all"]
     assert seq_values == base
 
 
-def test_pool_parent_solves_every_prefix_region(small):
+def test_pool_parent_solves_every_prefix_region(small, monkeypatch,
+                                                pool_sizes):
     scen, paths = small
+    monkeypatch.setattr(policy, "BATCH_SIZE", 1)  # one pool part per ordering
     a, b, c = scen.zones
     seqs = [Sequence((b, a, c)), Sequence((a, b, c))]
     cache = RidershipCache(scen, paths)
     rows = policy._value_all(seqs, cache, 2)
+    assert pool_sizes == [2]
     # {}, {a}, {b}, {a, b} and {a, b, c}, each solved once, in the parent
     assert cache.misses == 5
     assert rows == policy._value_all(seqs, RidershipCache(scen, paths), 1)
