@@ -67,15 +67,14 @@ class SequenceValuation:
     rank_deficient_fits: int       # (step, position) fits on a rank-deficient design
 
 
-def _fit_rows(states: np.ndarray, targets: np.ndarray,
-              design_of: np.ndarray | None = None):
+def _fit_rows(states: np.ndarray, targets: np.ndarray, design_of: np.ndarray):
     """Row-wise least-squares fits of ``targets`` [R, P] on He_0..He_2 of
     standardized states.
 
     ``states`` [K, P] holds one state per distinct design; row r regresses on
-    design ``design_of[r]`` (row r on design r when ``design_of`` is None).
-    Standardizing, the Hermite design and its thin SVD run once per design;
-    projections, coefficients and fitted values run per row.  Returns
+    design ``design_of[r]``, so a lone fit passes ``[0]``.  Standardizing,
+    the Hermite design and its thin SVD run once per design; projections,
+    coefficients and fitted values run per row.  Returns
     ``(coef [R, BASIS_SIZE], mean [K], std [K], rank_deficient [K],
     fitted [R, P])``.  The minimum-norm solution drops singular values at or
     below ``lstsq``'s default cutoff ``eps * max(P, BASIS_SIZE) * s_max``.
@@ -85,7 +84,6 @@ def _fit_rows(states: np.ndarray, targets: np.ndarray,
     p = states.shape[1]
     if p < BASIS_SIZE:
         raise ValueError(f"need at least {BASIS_SIZE} paths, got {p}")
-    rows = np.arange(len(targets)) if design_of is None else design_of
     mean = states.mean(axis=1)
     std = states.std(axis=1)
     constant = ~(np.isfinite(std) & (std > 0.0))
@@ -95,20 +93,20 @@ def _fit_rows(states: np.ndarray, targets: np.ndarray,
     design = hermevander(z, BASIS_SIZE - 1)              # [K, P, BASIS_SIZE]
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
     keep = sv > np.finfo(float).eps * max(p, BASIS_SIZE) * sv[:, :1]
-    projected = np.stack([(u[rows, :, k] * targets).sum(axis=1)
+    projected = np.stack([(u[design_of, :, k] * targets).sum(axis=1)
                           for k in range(BASIS_SIZE)], axis=1)  # U^T y
-    weights = np.divide(projected, sv[rows], out=np.zeros_like(projected),
-                        where=keep[rows])
-    row_vt = vt[rows]
+    weights = np.divide(projected, sv[design_of],
+                        out=np.zeros_like(projected), where=keep[design_of])
+    row_vt = vt[design_of]
     coef = row_vt[:, 0, :] * weights[:, :1]
     for k in range(1, BASIS_SIZE):
         coef += row_vt[:, k, :] * weights[:, k:k + 1]
-    fitted = design[rows, :, 0] * coef[:, :1]
+    fitted = design[design_of, :, 0] * coef[:, :1]
     for i in range(1, BASIS_SIZE):
-        fitted += design[rows, :, i] * coef[:, i:i + 1]
+        fitted += design[design_of, :, i] * coef[:, i:i + 1]
 
     # A constant state carries no information: the fit is the target mean.
-    constant_rows = constant[rows]
+    constant_rows = constant[design_of]
     target_mean = targets[constant_rows].mean(axis=1)
     coef[constant_rows] = 0.0
     coef[constant_rows, 0] = target_mean
@@ -127,7 +125,8 @@ def continuation_fit(states, targets):
     """
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    coef, mean, std, deficient, fitted = _fit_rows(states[None], targets[None])
+    coef, mean, std, deficient, fitted = _fit_rows(states[None], targets[None],
+                                                   np.zeros(1, dtype=int))
     basis = RegressionBasis(coef[0], float(mean[0]), float(std[0]),
                             bool(deficient[0]))
     return basis, fitted[0]

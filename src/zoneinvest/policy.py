@@ -137,7 +137,7 @@ def deterministic_npv(order, scenario: Scenario, covered=()) -> float:
     The per-zone payoffs telescope: the ridership increments of an
     ordering's prefixes sum to R(covered | order) - R(covered), so the NPV
     is that difference less every position's threshold, and it depends
-    only on the zone set.  An empty covered region needs no solve.
+    only on the zone set.  An empty covered region solves to +0.0.
     """
     covered = frozenset(covered)
     base = cumulative_ridership((), scenario.base_demand, scenario, covered)

@@ -144,30 +144,28 @@ def cumulative_ridership(zone_set, demand: np.ndarray, scenario: Scenario,
     ``demand`` is one OD matrix or a stack ``[..., N, N]`` of them; every
     matrix is solved independently and the totals come back with shape
     ``demand.shape[:-2]`` (a float for a single matrix).  Depends only on
-    the zone set (not on ordering).  An empty region has ridership 0.
+    the zone set (not on ordering).  An empty region is solved like any
+    other: its sums are 0, so its fixed point is +0.0 in round one.
     """
     demand = np.asarray(demand, dtype=float)
     _check_demand(demand, scenario.n_subzones)
     idx = _region_index(zone_set, covered, scenario)
-    if idx is None:
-        totals = np.zeros(demand.shape[:-2])
-    else:
-        stack = demand.reshape(-1, *demand.shape[-2:])
-        _, totals, _, _ = _solve_region([stack], idx, _cost_factor(scenario),
-                                        scenario)
-        totals = totals.reshape(demand.shape[:-2])
+    stack = demand.reshape(-1, *demand.shape[-2:])
+    _, totals, _, _ = _solve_region([stack], idx, _cost_factor(scenario),
+                                    scenario)
+    totals = totals.reshape(demand.shape[:-2])
     return float(totals) if totals.ndim == 0 else totals
 
 
-def _region_index(zone_set, covered, scenario: Scenario) -> np.ndarray | None:
-    """Sub-zone indices of ``zone_set | covered``; None for an empty region."""
+def _region_index(zone_set, covered, scenario: Scenario) -> np.ndarray:
+    """Sub-zone indices of ``zone_set | covered``: an empty int array for an
+    empty region."""
     zone_set = frozenset(zone_set)
     covered = frozenset(covered)
     overlap = zone_set & covered
     if overlap:
         raise ValueError(f"zone_set overlaps covered zones: {sorted(overlap)}")
-    region = zone_set | covered
-    return scenario.subzone_indices(region) if region else None
+    return scenario.subzone_indices(zone_set | covered)
 
 
 def _region_sums(stack: np.ndarray, idx: np.ndarray, factor: np.ndarray,
@@ -268,9 +266,6 @@ class RidershipCache:
         n_steps, n_paths = self.paths.n_steps, self.paths.n_paths
         idx = _region_index(key, self.covered, self.scenario)
         self.misses += 1
-        if idx is None:
-            self._memo[key] = (np.zeros((n_steps, n_paths)), 0.0)
-            return
         # the [P, T] stack's slices, then t0
         stack = self.paths.values.reshape(-1, *self.paths.values.shape[-2:])
         _, totals, _, _ = _solve_region(

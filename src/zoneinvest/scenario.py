@@ -117,6 +117,15 @@ class Scenario:
             raise ScenarioError("zones is empty")
         if len(set(self.zones)) != len(self.zones):
             raise ScenarioError("zones has duplicate ids")
+        # Sequences and matrix headers are written comma-joined on one line
+        # and read back split on commas with each id stripped.
+        for kind, ids in (("zone", self.zones), ("sub-zone", self.subzones)):
+            for i in ids:
+                if not (isinstance(i, str) and i.splitlines() == [i]
+                        and "," not in i and i == i.strip()):
+                    raise ScenarioError(
+                        f"{kind} id {i!r} must be a non-empty string without "
+                        f"',', a line break or leading or trailing whitespace")
         mapped = set(self.subzone_to_zone.values())
         orphans = mapped - set(self.zones)
         if orphans:
@@ -224,7 +233,13 @@ def load_scenario(path) -> Scenario:
         if key not in cfg:
             raise ScenarioError(f"scenario config missing required key '{key}'")
 
-    subzone_to_zone = dict(cfg["subzone_to_zone"])
+    zones, subzone_to_zone = cfg["zones"], cfg["subzone_to_zone"]
+    if not (isinstance(zones, list) and all(isinstance(z, str) for z in zones)):
+        raise ScenarioError(f"zones must be a list of strings, got {zones!r}")
+    if not (isinstance(subzone_to_zone, dict)
+            and all(isinstance(z, str) for z in subzone_to_zone.values())):
+        raise ScenarioError("subzone_to_zone must be an object of zone id "
+                            f"strings, got {subzone_to_zone!r}")
     subzones = tuple(subzone_to_zone.keys())
     base = path.parent
 
@@ -258,7 +273,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"horizon_steps must be a list, got {steps!r}")
 
     scen = Scenario(
-        zones=tuple(cfg["zones"]),
+        zones=tuple(zones),
         subzone_to_zone=subzone_to_zone,
         base_demand=demand,
         trip_price=price,

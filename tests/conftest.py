@@ -3,9 +3,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import zoneinvest.policy
 from zoneinvest.scenario import DEFAULTS, Scenario, generate_synthetic_scenario
+
+# Settings of every property test: a fixed example set, no example database.
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# Zone ids the text formats carry: one non-empty line, no comma, no
+# surrounding whitespace (the rule ``Scenario.validate`` enforces).
+ZONE_IDS = st.text(min_size=1, max_size=6).filter(
+    lambda z: z.splitlines() == [z] and "," not in z and z == z.strip())
+
+# Finite floats, always with the edge values a round trip must keep.
+FINITE = (st.sampled_from([-0.0, 5e-324, -1e300, 1e300])
+          | st.floats(allow_nan=False, allow_infinity=False))
 
 
 def make_scenario(demand, subzone_to_zone, volatility, *, cwz=0.0, ciz=0.0,

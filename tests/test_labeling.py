@@ -1,11 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from zoneinvest.labeling import (estimate_eta_ub, fit_weibull, label_dataset,
-                                 label_with_cutoff, load_labeled, save_labeled,
+from zoneinvest.labeling import (LabeledDataset, estimate_eta_ub, fit_weibull,
+                                 label_dataset, label_with_cutoff,
+                                 load_labeled, save_labeled,
                                  weibull_max_median)
-from zoneinvest.sequences import enumerate_sequences
+from zoneinvest.sequences import Sequence, enumerate_sequences
 
+from conftest import FINITE, PROPERTY, ZONE_IDS
 from oracles import weibull_samples
 
 
@@ -168,14 +174,37 @@ class TestLabelDataset:
         assert ds.norm_std == pytest.approx(values.std())
 
 
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(19)
-    values = weibull_samples(2.0, 30.0, 30, rng)
-    ds = label_dataset(make_valuations(values), 5040, 0.2, 0.1)
-    save_labeled(ds, tmp_path / "labeled.csv")
-    again = load_labeled(tmp_path / "labeled.csv")
-    assert again.sequences == ds.sequences
-    assert np.array_equal(again.labels, ds.labels)
-    assert np.array_equal(again.values, ds.values)
-    assert again.eta_bin == ds.eta_bin
-    assert again.population_size == ds.population_size
+@st.composite
+def labeled_datasets(draw):
+    zones = draw(st.lists(ZONE_IDS, min_size=1, max_size=4, unique=True))
+    seqs = draw(st.lists(st.permutations(zones).map(Sequence), min_size=1,
+                         max_size=6))
+    column = st.lists(FINITE, min_size=len(seqs), max_size=len(seqs))
+    flags = st.lists(st.integers(0, 1), min_size=len(seqs),
+                     max_size=len(seqs))
+    return LabeledDataset(
+        sequences=tuple(seqs), values=np.array(draw(column)),
+        labels=np.array(draw(flags)), eta_ub=draw(FINITE),
+        eta_thr=draw(FINITE), eta_bin=draw(FINITE), pnr_max=draw(FINITE),
+        thr_fact=draw(FINITE), population_size=draw(st.integers(1, 10 ** 6)),
+        norm_mean=draw(FINITE), norm_std=draw(FINITE),
+        forced_positive=draw(st.booleans()),
+        degenerate_fit=draw(st.booleans()))
+
+
+@PROPERTY
+@given(labeled_datasets())
+@example(label_dataset(make_valuations(
+    weibull_samples(2.0, 30.0, 30, np.random.default_rng(19))), 5040, 0.2, 0.1))
+def test_save_load_round_trip(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("labeled") / "labeled.csv"
+    save_labeled(ds, path)
+    again = load_labeled(path)
+    for field in fields(ds):
+        got, want = getattr(again, field.name), getattr(ds, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert type(got) is type(want)
+            assert repr(got) == repr(want)

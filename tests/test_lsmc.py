@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermevander
 
@@ -14,13 +14,9 @@ from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence
 from zoneinvest.stochastic import simulate_paths
 
-from conftest import make_scenario, single_od_scenario
+from conftest import PROPERTY, make_scenario, single_od_scenario
 from oracles import (binomial_option_value, compound_schedule_optimum,
                      polyfit_normal_equations)
-
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestContinuationFit:

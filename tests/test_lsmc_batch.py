@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numpy.polynomial.hermite_e import hermevander
@@ -25,14 +25,10 @@ from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence
 from zoneinvest.stochastic import DemandPaths, simulate_paths
 
-from conftest import make_scenario
+from conftest import PROPERTY, make_scenario
 from oracles import per_sequence_lsmc
 
 J = BASIS_SIZE
-
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 # Raw float64 bit patterns numpy's select must carry through unchanged:
@@ -259,7 +255,7 @@ def test_keyed_fit_equals_row_stacked_fit(data):
     coef, mean, std, deficient, fitted = _fit_rows(states, targets,
                                                    design_of)
     row_coef, row_mean, row_std, row_deficient, row_fitted = _fit_rows(
-        states[design_of], targets)
+        states[design_of], targets, np.arange(len(targets)))
     assert np.array_equal(coef, row_coef)
     assert np.array_equal(fitted, row_fitted)
     assert np.array_equal(mean[design_of], row_mean)

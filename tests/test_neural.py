@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zoneinvest import neural
 from zoneinvest.labeling import LabeledDataset
@@ -15,13 +16,10 @@ from zoneinvest.neural import (CLASSIFIER, REGRESSOR, DivergenceError,
                                scores, train)
 from zoneinvest.sequences import Sequence, enumerate_sequences, sample_sequences
 
+from conftest import FINITE, PROPERTY, ZONE_IDS
 from oracles import (PER_GATE_BIAS, PER_GATE_INPUT, PER_GATE_RECURRENT,
                      finite_difference_grads, per_gate_forward,
                      per_gate_loss_and_gradients, stack_gates)
-
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def make_labeled(seqs, labels, values=None):
@@ -500,20 +498,35 @@ class TestMetrics:
             auc([0.1, 0.2], [1, 1])
 
 
-def test_checkpoint_round_trip(tmp_path):
-    ds = separable_dataset()
-    model, _ = train(ds, emb_size=8, batch_size=8, max_epochs=5, seed=11)
-    save_model(model, tmp_path / "model.json")
-    again = load_model(tmp_path / "model.json")
-    assert again.vocab == model.vocab
-    assert again.head_kind == model.head_kind
-    assert again.target_norm == model.target_norm
-    assert again.training_meta == model.training_meta
-    assert again.training_meta["validation_positives"] == 1
+@st.composite
+def checkpoints(draw):
+    vocab = draw(st.lists(ZONE_IDS, min_size=1, max_size=4, unique=True))
+    model = init_model(vocab, draw(st.integers(1, 3)),
+                       draw(st.sampled_from([CLASSIFIER, REGRESSOR])))
+    model.params = {name: draw(arrays(float, p.shape, elements=FINITE))
+                    for name, p in model.params.items()}
+    model.target_norm = (draw(FINITE), draw(FINITE))
+    model.training_meta = draw(st.dictionaries(
+        st.text(max_size=6), st.integers() | FINITE | st.none(), max_size=3))
+    return model
+
+
+@PROPERTY
+@given(checkpoints())
+@example(train(separable_dataset(), emb_size=8, batch_size=8, max_epochs=5,
+               seed=11)[0])
+def test_checkpoint_round_trip(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    again = load_model(path)
+    assert (again.vocab, again.emb_size, again.head_kind) == \
+        (model.vocab, model.emb_size, model.head_kind)
+    assert repr(again.target_norm) == repr(model.target_norm)
+    assert repr(sorted(again.training_meta.items())) == \
+        repr(sorted(model.training_meta.items()))
     for name in model.params:
-        assert np.array_equal(again.params[name], model.params[name])
-    for seq in ds.sequences[:5]:
-        assert scores(again, [seq])[0] == scores(model, [seq])[0]
+        assert again.params[name].dtype == model.params[name].dtype
+        assert again.params[name].tobytes() == model.params[name].tobytes()
 
 
 def test_checkpoint_without_validation_positives_loads(tmp_path):

@@ -4,28 +4,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
-from zoneinvest.lsmc import (continuation_fit, valuate_sequence,
-                             valuate_sequences)
+from zoneinvest.lsmc import (DEFER, INVEST, continuation_fit,
+                             valuate_sequence, valuate_sequences)
 from zoneinvest import neural, policy
-from zoneinvest.policy import (CR, CR_RNN, _finish, cr_policy, cr_rnn_policy,
-                               deterministic_npv, evaluate_retrieval,
-                               load_report, report)
+from zoneinvest.policy import (CR, CR_RNN, PolicyResult, _finish, cr_policy,
+                               cr_rnn_policy, deterministic_npv,
+                               evaluate_retrieval, load_report, report)
 from zoneinvest.ridership import RidershipCache, payoff_threshold
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.sequences import Sequence, enumerate_sequences
 from zoneinvest.stochastic import simulate_paths
 
-from conftest import make_scenario
+from conftest import FINITE, PROPERTY, ZONE_IDS, make_scenario
 from oracles import compound_schedule_optimum
 from test_lsmc import deterministic_scenario
-
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +443,39 @@ def test_report_round_trip(tmp_path, small):
     assert pol["validation_positives"] is None
     rows = (tmp_path / "cr.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 6  # header + H! sequences
+
+
+@st.composite
+def policy_results(draw):
+    """Results shaped like CR (one "all" table, nothing trained) or like
+    CR-RNN (sampled and top-K tables, labeling flags)."""
+    zones = draw(st.lists(ZONE_IDS, min_size=1, max_size=5, unique=True))
+    orders = st.permutations(zones).map(Sequence)
+    rows = st.lists(st.tuples(orders.map(str), FINITE), max_size=4).map(tuple)
+    rnn = draw(st.booleans())
+    return PolicyResult(
+        mode=CR_RNN if rnn else CR, best_sequence=draw(orders),
+        best_value=draw(FINITE),
+        decisions={z: draw(st.sampled_from([INVEST, DEFER])) for z in zones},
+        npv_deterministic=draw(FINITE), option_premium=draw(FINITE),
+        evaluated_count=draw(st.integers(0, 10 ** 6)),
+        wall_time=draw(FINITE),
+        tables={name: draw(rows)
+                for name in (("sampled", "top_k") if rnn else ("all",))},
+        degenerate_labeling=rnn and draw(st.booleans()),
+        validation_positives=draw(st.none() | st.integers(0, 100))
+        if rnn else None)
+
+
+@PROPERTY
+@given(policy_results())
+def test_report_round_trips_any_result(tmp_path_factory, res):
+    out = report(res, tmp_path_factory.mktemp("report") / "r.json")
+    again = load_report(out)
+    assert again == res
+    for name in ("best_value", "npv_deterministic", "option_premium",
+                 "wall_time", "tables"):
+        assert repr(getattr(again, name)) == repr(getattr(res, name))
 
 
 def test_cr_rnn_report_row_count(tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from zoneinvest import ridership
@@ -17,13 +17,10 @@ from zoneinvest.ridership import (ConvergenceError, RidershipCache,
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.stochastic import simulate_paths
 
-from conftest import make_scenario, region_scenario, single_od_scenario
+from conftest import (PROPERTY, make_scenario, region_scenario,
+                      single_od_scenario)
 from oracles import (bisect_ridership_root, gathered_region_totals,
                      masked_iterate_wait, region_cost_factor)
-
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def test_all_zero_demand_is_the_zero_fixed_point(two_zone):
@@ -432,13 +429,25 @@ def test_grouped_fill_memory_is_bounded(synth7):
 
 @PROPERTY
 @given(st.integers(0, 2 ** 16), st.integers(1, 5), st.integers(1, 4),
-       st.sampled_from([0.0, 1.0, 100.0, 5e3]))
-def test_one_solve_behind_every_entry_point(seed, n_zones, per_zone, scale):
+       st.sampled_from([0.0, 1.0, 100.0, 5e3]), st.booleans())
+def test_one_solve_behind_every_entry_point(seed, n_zones, per_zone, scale,
+                                            empty):
     """The full region's total at t0 is the same number from the
-    single-matrix solver, the region function and the cache."""
+    single-matrix solver, the region function and the cache, and so are
+    its totals over a stack of paths from the region function and the
+    cache's one miss.  The empty region is solved the same way, to +0.0."""
     scen = generate_synthetic_scenario(seed, n_zones, per_zone, scale)
     paths = simulate_paths(scen, 3, seed=seed)
-    single = equilibrium_ridership(scen.base_demand, scen).total
-    region = cumulative_ridership(scen.zones, scen.base_demand, scen)
-    cached = RidershipCache(scen, paths).cumulative(scen.zones)[1]
+    zones = () if empty else scen.zones
+    single = 0.0 if empty else equilibrium_ridership(scen.base_demand,
+                                                      scen).total
+    region = cumulative_ridership(zones, scen.base_demand, scen)
+    stacked = cumulative_ridership(zones, paths.values, scen)
+    cache = RidershipCache(scen, paths)
+    steps, cached = cache.cumulative(zones)
     assert single == region == cached
+    assert np.array_equal(stacked.T, steps)
+    assert cache.misses == 1
+    assert not np.signbit([region, cached, *stacked.ravel(),
+                           *steps.ravel()]).any()
+    assert not (empty and stacked.any())

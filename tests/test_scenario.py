@@ -136,9 +136,21 @@ FOUR = np.ones((4, 4))
     ({"discount_rate": -1.0}, "discount_rate must be > -1"),
     ({"speed": 0.0}, "speed must be positive"),
     ({"horizon_steps": (0.0, 1.0)}, "horizon_steps must start after t0"),
+    ({"zones": ("A", "B", "C,D")}, "zone id 'C,D'"),
+    ({"zones": ("A", "B", "")}, "zone id ''"),
+    ({"zones": ("A", "B", "C ")}, "zone id 'C '"),
+    ({"zones": ("A", "B", 3)}, "zone id 3"),
+    ({"subzone_to_zone": {"a1": "A", "a,2": "A", "b1": "B", "b2": "B"}},
+     "sub-zone id 'a,2'"),
+    ({"subzone_to_zone": {"a1": "A", "a2": "A", "\tb1": "B", "b2": "B"}},
+     r"sub-zone id '\\tb1'"),
+    ({"subzone_to_zone": {"a1": "A", "a2": "A", "b\u2028b1": "B", "b2": "B"}},
+     r"sub-zone id 'b\\u2028b1'"),
 ], ids=["no-zones", "duplicate-zones", "unknown-zone", "empty-zone",
         "matrix-shape", "negative-matrix", "infinite-matrix", "nan-matrix",
-        "discount", "speed", "horizon-start"])
+        "discount", "speed", "horizon-start", "comma-zone-id", "empty-zone-id",
+        "padded-zone-id", "non-string-zone-id", "comma-subzone-id",
+        "padded-subzone-id", "line-break-subzone-id"])
 def test_scenario_rejects_broken_invariant(two_zone, override, field):
     with pytest.raises(ScenarioError, match=field):
         replace(two_zone, **override)
@@ -166,8 +178,20 @@ def _csv_for(key, text):
               "a1,a2,b1,b2\n" + "1,1,1,1\n" * 3 + "1,1,many,1\n"),
      r"base_demand \(.*bad.csv\): non-numeric value"),
     (_csv_for("trip_price", "\n"), r"trip_price \(.*bad.csv\): empty matrix"),
+    (lambda doc, folder: doc.update(zones=5), "zones must be a list"),
+    (lambda doc, folder: doc.update(zones={"A": 1, "B": 2}),
+     "zones must be a list"),
+    (lambda doc, folder: doc.update(zones=["A", 2]), "zones must be a list"),
+    (lambda doc, folder: doc.update(
+        subzone_to_zone=[["a1", "A"], ["a2", "A"], ["b1", "B"], ["b2", "B"]]),
+     "subzone_to_zone must be an object"),
+    (lambda doc, folder: doc["subzone_to_zone"].update(b2=None),
+     "subzone_to_zone must be an object"),
+    (lambda doc, folder: doc.update(zones=["A", "B,C"]), "zone id 'B,C'"),
 ], ids=["zones", "volatility", "trip-price", "travel-time", "empty-csv",
-        "header", "non-numeric", "csv-names-its-key"])
+        "header", "non-numeric", "csv-names-its-key", "zones-number",
+        "zones-object", "zones-non-string", "subzones-list",
+        "subzones-non-string", "comma-zone-id"])
 def test_load_scenario_rejects_config_naming_the_field(tmp_path, mutate,
                                                        field):
     path = write_config(tmp_path)

@@ -2,19 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from zoneinvest.scenario import generate_synthetic_scenario
 from zoneinvest.stochastic import (_path_states, dump_paths, load_paths,
                                    simulate_paths)
 
-from conftest import make_scenario, single_od_scenario
+from conftest import PROPERTY, make_scenario, single_od_scenario
 from oracles import per_path_gbm
-
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 # Seeds on and across the 32-bit word boundaries of SeedSequence's entropy,
 # including more than the four words its pool holds, and numpy integers.
