@@ -146,20 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_values_csv(path) -> list[tuple[tuple[str, ...], float]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        cols = {name: i for i, name in enumerate(next(reader, ()))}
-        if "sequence" not in cols or "eta" not in cols:
-            raise ValueError(f"{path}: expected 'sequence' and 'eta' columns")
-        try:
-            return [(sequences.Sequence.parse(r[cols["sequence"]]).order,
-                     float(r[cols["eta"]])) for r in reader]
-        except (IndexError, ValueError) as exc:  # line_num: the failing row's
-            raise ValueError(f"{path}, line {reader.line_num}: expected a "
-                             f"sequence and a numeric eta ({exc})") from None
-
-
 def _resolved_config(args) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("command", "scenario_command", "verbose")}
@@ -191,10 +177,9 @@ def _dispatch(args) -> None:
 
     cfg = _resolved_config(args)
     if args.command == "label":
-        vals = _read_values_csv(args.values)
-        ds = labeling.label_dataset(
-            [(sequences.Sequence(o), v) for o, v in vals],
-            args.population, args.thr_fact, args.pnr_max)
+        seqs, etas, _ = labeling.read_values(args.values)
+        ds = labeling.label_dataset(zip(seqs, etas), args.population,
+                                    args.thr_fact, args.pnr_max)
         labeling.save_labeled(ds, args.out)
         return
     if args.command == "train":
@@ -209,17 +194,15 @@ def _dispatch(args) -> None:
         return
     if args.command == "evaluate":
         model = neural.load_model(args.model)
-        table = dict(_read_values_csv(args.values))
+        seqs, etas, _ = labeling.read_values(args.values)
         ds = labeling.load_labeled(args.labeled)
-        train_orders = [s.order for s in ds.sequences]
         # Every row is computed before the file is opened, so a rejected
         # --k or an empty test pool leaves no partial metrics file.
-        rows = [["k", "gap_at_k", "auc", "eta_true", "eta_pred"]]
-        for k in args.k:
-            m = policy.evaluate_retrieval(model, table, train_orders, k,
-                                          ds.eta_bin)
-            rows.append([k, m["gap_at_k"], m["auc"], m["eta_true"],
-                         m["eta_pred"]])
+        metrics = policy.evaluate_retrieval(
+            model, {s.order: v for s, v in zip(seqs, etas)}, ds.sequences,
+            args.k, ds.eta_bin)
+        names = ["k", "gap_at_k", "auc", "eta_true", "eta_pred"]
+        rows = [names] + [[m[name] for name in names] for m in metrics]
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)

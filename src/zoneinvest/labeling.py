@@ -211,14 +211,45 @@ def save_labeled(dataset: LabeledDataset, csv_path) -> None:
     write_report(csv_path.with_suffix(".json"), sidecar, table, csv_path)
 
 
-def load_labeled(csv_path) -> LabeledDataset:
-    csv_path = Path(csv_path)
+def read_values(csv_path):
+    """The ``(sequences, etas, labels)`` columns, in file order, of a CSV
+    whose header names ``sequence``, ``eta`` and optionally ``label``
+    (``labels`` is None without it).  Raises ``ValueError`` naming the
+    file, and the line of a row that lacks a field, holds a bad sequence,
+    a non-finite eta or a label other than 0 or 1, or whose ordering's
+    length differs from the first row's."""
     with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+        reader = csv.reader(fh)
+        cols = {name: i for i, name in enumerate(next(reader, ()))}
+        if "sequence" not in cols or "eta" not in cols:
+            raise ValueError(
+                f"{csv_path}: expected 'sequence' and 'eta' columns")
+        at = [cols[n] for n in ("sequence", "eta", "label") if n in cols]
+        seqs, etas, labels = table = ([], [], [])
+        for row in reader:
+            try:
+                for c, i, parse in zip(table, at, (Sequence.parse, float, int)):
+                    c.append(parse(row[i]))
+                if not np.isfinite(etas[-1]):
+                    raise ValueError(f"eta {etas[-1]} is not finite")
+                if labels and labels[-1] not in (0, 1):
+                    raise ValueError(f"label {labels[-1]} is not 0 or 1")
+                if len(seqs[-1]) != len(seqs[0]):
+                    raise ValueError(f"{len(seqs[-1])} zones, the first row "
+                                     f"has {len(seqs[0])}")
+            except (IndexError, ValueError) as exc:  # line_num: this row's
+                why = exc if isinstance(exc, ValueError) else "too few fields"
+                raise ValueError(
+                    f"{csv_path}, line {reader.line_num}: {why}") from None
+    return seqs, etas, labels if "label" in cols else None
+
+
+def load_labeled(csv_path) -> LabeledDataset:
+    """The dataset :func:`save_labeled` wrote, read by :func:`read_values`."""
+    csv_path = Path(csv_path)
+    seqs, etas, labels = read_values(csv_path)
+    if labels is None:
+        raise ValueError(f"{csv_path}: expected a 'label' column")
     side = json.loads(csv_path.with_suffix(".json").read_text())
-    return LabeledDataset(
-        sequences=tuple(Sequence.parse(r[0]) for r in rows),
-        values=np.array([float(r[1]) for r in rows]),
-        labels=np.array([int(r[2]) for r in rows]),
-        **side,
-    )
+    return LabeledDataset(sequences=tuple(seqs), values=np.array(etas),
+                          labels=np.array(labels), **side)

@@ -28,7 +28,7 @@ from .labeling import (LabeledDataset, check_cutoff_settings, label_dataset,
 # a name outside callers look up (e.g. to wrap it with a timer).
 from .lsmc import valuate_sequence, valuate_sequences  # noqa: F401
 from .neural import (CLASSIFIER, LstmModel, auc, check_train_settings,
-                     gap_at_k, score_and_rank, scores, train)
+                     gap_at_k, score_and_rank, train)
 from .ridership import RidershipCache, cumulative_ridership, payoff_threshold
 from .scenario import Scenario
 from .sequences import (Sequence, check_fraction, enumerate_sequences,
@@ -246,30 +246,27 @@ def cr_rnn_policy(scenario: Scenario, paths: DemandPaths, covered=(), *,
 # -- retrieval evaluation ------------------------------------------------------
 
 def evaluate_retrieval(model: LstmModel, value_by_order: dict, train_orders,
-                       k: int, eta_bin: float) -> dict:
-    """Gap@K and AUC of a trained model against a ground-truth value table.
-
-    ``value_by_order`` maps zone-order tuples to policy values for the whole
-    population; the test pool is everything outside ``train_orders``.  Test
-    labels reuse the training cutoff ``eta_bin``.
-    """
+                       ks, eta_bin: float) -> list[dict]:
+    """One row of Gap@K and AUC per K in ``ks`` for a trained model against
+    ``value_by_order``, the policy values of the whole population by zone
+    order.  The test pool, all outside ``train_orders``, is scored once:
+    each K's top list is a prefix of one ranking and the AUC comes from the
+    same scores.  Test labels reuse the training cutoff ``eta_bin``."""
+    if min(ks) < 1:
+        raise ValueError(f"k must be >= 1, got {min(ks)}")
     train_set = {tuple(o) for o in train_orders}
     test = sorted(o for o in value_by_order if tuple(o) not in train_set)
     if not test:
         raise ValueError("no test sequences outside the training set")
-    test_seqs = [Sequence(o) for o in test]
-    test_values = np.array([value_by_order[o] for o in test])
-    top = score_and_rank(model, test_seqs, min(k, len(test_seqs)))
-    eta_pred = max(value_by_order[tuple(s.order)] for s, _ in top)
-    eta_true = float(test_values.max())
-    labels = label_with_cutoff(test_values, eta_bin)
-    out = {"k": k, "eta_true": eta_true, "eta_pred": eta_pred,
-           "gap_at_k": gap_at_k(eta_true, eta_pred)}
-    if 0 < labels.sum() < len(labels):
-        out["auc"] = auc(scores(model, test_seqs), labels)
-    else:
-        out["auc"] = None
-    return out
+    ranked = score_and_rank(model, [Sequence(o) for o in test], len(test))
+    values = [value_by_order[s.order] for s, _ in ranked]
+    labels = label_with_cutoff(values, eta_bin)
+    roc = (auc([score for _, score in ranked], labels)
+           if 0 < labels.sum() < len(labels) else None)
+    eta_true = max(values)
+    return [{"k": k, "eta_true": eta_true, "eta_pred": max(values[:k]),
+             "gap_at_k": gap_at_k(eta_true, max(values[:k])), "auc": roc}
+            for k in ks]
 
 
 # -- reports -------------------------------------------------------------------

@@ -37,7 +37,15 @@ class Sequence:
 
     @classmethod
     def parse(cls, text: str) -> "Sequence":
-        return cls(tuple(z.strip() for z in text.split(",") if z.strip()))
+        """The comma-joined zone ids of ``text``, stripped of surrounding
+        whitespace; a blank ``text`` is the empty sequence.  Raises
+        ``ValueError`` naming ``text`` for an empty id, as in ``"a,,b"``."""
+        order = tuple(z.strip() for z in text.split(","))
+        if order == ("",):
+            return cls(())
+        if "" in order:
+            raise ValueError(f"empty zone id in sequence {text!r}")
+        return cls(order)
 
 
 def enumerate_sequences(zones) -> list[Sequence]:

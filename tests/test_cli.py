@@ -368,27 +368,60 @@ def test_label_population_below_sample_exits_1_without_files(
     assert list(tmp_path.glob("l.*")) == []
 
 
-@pytest.mark.parametrize("command", ["label", "evaluate"])
+@pytest.mark.parametrize("command", ["label", "evaluate", "train",
+                                     "evaluate --labeled"])
 @pytest.mark.parametrize("text, where", [
     ("", ""),                                                  # empty file
     ('sequence,eta\n"z01,z02,z03",1.5\n"z01,z03,z02"\n', ", line 3"),
     ('sequence,eta\n"z01,z02,z03",high\n', ", line 2"),
     ('sequence,eta\n"z01, z01,z03",1.5\n', ", line 2"),       # repeated zone
+    ('sequence,eta,label\n"z01,z02,z03",1.5,1\n"z01,z03,z02",0.5\n',
+     ", line 3"),                                            # no label field
+    ('sequence,eta,label\n"z01,z02,z03",1.5,2\n', ", line 2"),
+    ('sequence,eta,label\n"z01,z02,z03",nan,1\n', ", line 2"),
+    ('sequence,eta,label\n"z01,z02,z03",1.5,1\n"z01,z03,z02",-inf,0\n',
+     ", line 3"),
+    ('sequence,eta,label\n"z01,z02",1.5,1\n"z03",0.5,0\n', ", line 3"),
 ])
 def test_bad_values_csv_exits_1_naming_the_file(chain_inputs, tmp_path,
                                                 capsys, command, text, where):
+    """Every reader of a sequence-value CSV rejects it naming the file and
+    the line: ``label`` and ``evaluate`` read ``--values``, ``train`` and
+    ``evaluate --labeled`` a labeled table (with a valid JSON sidecar)."""
     values = tmp_path / "values.csv"
     values.write_text(text)
+    values.with_suffix(".json").write_text(
+        (chain_inputs / "labeled.json").read_text())
     out = tmp_path / "out" / "o.csv"
-    argv = {"label": ["label", "--population", "6"],
-            "evaluate": ["evaluate", "--model", str(chain_inputs / "model.json"),
-                         "--labeled", str(chain_inputs / "labeled.csv"),
-                         "--k", "2"]}[command]
-    assert main(argv + ["--values", str(values), "--out", str(out)]) == 1
+    model = ["--model", str(chain_inputs / "model.json")]
+    argv = {"label": ["label", "--population", "6", "--values"],
+            "evaluate": ["evaluate", *model, "--labeled",
+                         str(chain_inputs / "labeled.csv"), "--k", "2",
+                         "--values"],
+            "train": ["train", "--labeled"],
+            "evaluate --labeled": ["evaluate", *model, "--values",
+                                   str(chain_inputs / "cr.csv"), "--k", "2",
+                                   "--labeled"]}[command]
+    assert main(argv + [str(values), "--out", str(out)]) == 1
     block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert block["error"]["type"] == "ValueError"
     assert block["error"]["message"].startswith(f"{values}{where}: ")
     assert not out.parent.exists()
+
+
+def test_evaluate_scores_the_test_pool_once(chain_inputs, tmp_path,
+                                            monkeypatch):
+    calls = []
+    scores = neural.scores
+    monkeypatch.setattr(neural, "scores",
+                        lambda *args: calls.append(1) or scores(*args))
+    out = tmp_path / "m.csv"
+    assert main(["evaluate", "--model", str(chain_inputs / "model.json"),
+                 "--values", str(chain_inputs / "cr.csv"),
+                 "--labeled", str(chain_inputs / "labeled.csv"),
+                 "--k", "1", "2", "3", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_spaced_values_csv_runs_label_train_evaluate(chain_inputs, tmp_path):

@@ -339,21 +339,33 @@ def test_evaluate_retrieval_reports_gap_and_auc(small, monkeypatch):
     test_values = np.array([table[o] for o in test_orders])
     # a cutoff at the middle test value leaves both labels in the test pool
     eta_bin = float(np.sort(test_values)[len(test_values) // 2])
-    metrics = evaluate_retrieval(rnn.model, table, train_orders, k=2,
-                                 eta_bin=eta_bin)
-    assert metrics["eta_true"] == test_values.max()
-    assert 0.0 <= metrics["gap_at_k"] <= 100.0
-    assert metrics["eta_pred"] <= metrics["eta_true"]
-    test_scores = neural.scores(rnn.model, [Sequence(o) for o in test_orders])
+    test_seqs = [Sequence(o) for o in test_orders]
+    ks = [1, 2, 3, len(test_orders) + 1]
+    rows = evaluate_retrieval(rnn.model, table, train_orders, ks, eta_bin)
+    assert [row["k"] for row in rows] == ks
+    for row in rows:
+        # one ranking's prefixes: each row is the row of its own one-K call,
+        # and its top list is score_and_rank's for that K
+        assert row == evaluate_retrieval(rnn.model, table, train_orders,
+                                         [row["k"]], eta_bin)[0]
+        top = neural.score_and_rank(rnn.model, test_seqs,
+                                    min(row["k"], len(test_seqs)))
+        assert row["eta_pred"] == max(table[s.order] for s, _ in top)
+        assert row["eta_true"] == test_values.max()
+        assert 0.0 <= row["gap_at_k"] <= 100.0
+        assert row["eta_pred"] <= row["eta_true"]
+    assert rows[-1]["gap_at_k"] == 0.0  # K beyond the pool retrieves it all
+    test_scores = neural.scores(rnn.model, test_seqs)
     pos, neg = (test_scores[test_values >= eta_bin],
                 test_scores[test_values < eta_bin])
     assert len(pos) and len(neg)
     u = mannwhitneyu(pos, neg).statistic
-    assert metrics["auc"] == pytest.approx(u / (len(pos) * len(neg)),
+    for row in rows:
+        assert row["auc"] == pytest.approx(u / (len(pos) * len(neg)),
                                            rel=1e-12)
-    above_all = evaluate_retrieval(rnn.model, table, train_orders, k=2,
+    above_all = evaluate_retrieval(rnn.model, table, train_orders, [2],
                                    eta_bin=test_values.max() + 1.0)
-    assert above_all["auc"] is None
+    assert above_all[0]["auc"] is None
 
 
 def test_cr_rnn_training_failure_names_the_sample(small, monkeypatch):

@@ -44,6 +44,11 @@ def test_sequence_serialization_round_trip():
     s = Sequence(("z2", "z1", "z3"))
     assert str(s) == "z2,z1,z3"
     assert Sequence.parse(str(s)) == s
+    assert Sequence.parse("") == Sequence(())
+    for text in ("z01,,z02", "z01,", ",z01", " , "):
+        with pytest.raises(ValueError, match=f"empty zone id in sequence "
+                                             f"'{text}'"):
+            Sequence.parse(text)
 
 
 class TestSampling:
